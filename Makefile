@@ -36,8 +36,15 @@ docs-check:
 	$(PYTHON) tools/docs_check.py
 
 .PHONY: test
-test: docs-check bench-smoke overload-smoke cache-smoke shard-smoke retrieval-smoke scheduler-smoke failover-smoke tenant-smoke parallel-smoke
+test: docs-check bench-smoke perfbench-selftest overload-smoke cache-smoke shard-smoke retrieval-smoke scheduler-smoke failover-smoke tenant-smoke parallel-smoke
 	$(PYTHON) -m pytest tests/
+
+# The host-time benchmark's self-tests (perfbench/README.md). They run
+# the tiny smoke workload against its golden fingerprint, so a hot-path
+# change that alters any simulated number fails here.
+.PHONY: perfbench-selftest
+perfbench-selftest:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Tiny deterministic overload run: deadline admission + fallback tier must
 # turn a 3x-capacity overload into degraded 200s (no 503s, p99 in SLO).

@@ -12,15 +12,32 @@ every timestamp (``sent_at``, ``completed_at``) and every stored duration
 Milliseconds appear only at the reporting edge: methods with an ``_ms``
 suffix (``percentile_ms``, ``p90_ms``) multiply by 1000 on the way out.
 Throughput numbers are responses per virtual second.
+
+Recording is append-only and columnar: one row per response (send
+second, flags) plus latency, inference time and batch size for every OK
+one, in typed :mod:`array` columns. Every summary (the overall digest,
+the full/degraded and hit/miss splits, inference, the per-second
+buckets) is derived from the columns when first asked for, binned in
+bulk by :meth:`LatencyDigest.from_values` into exactly the digests that
+recording each response one by one would have built.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.metrics.percentile import LatencyDigest
 from repro.serving.request import RecommendationResponse
+
+#: Row flags.
+_OK = 1
+_DEGRADED = 2
+_CACHE_HIT = 4
 
 
 @dataclass
@@ -45,79 +62,162 @@ class SecondBucket:
         return self.digest.percentile(90) * 1000.0
 
 
+def _summary(name: str, doc: str) -> property:
+    return property(lambda collector: collector._digest(name), doc=doc)
+
+
 class MetricsCollector:
-    """Accumulates responses during one benchmark run."""
+    """Accumulates responses during one benchmark run.
+
+    The digests (``overall``, ``inference``, the quality split
+    ``full_overall``/``degraded_overall`` and the cache split
+    ``hit_overall``/``miss_overall``) are read-only summaries. A split
+    that mirrors ``overall`` (no degraded answers, no cache hits) is
+    ``overall`` itself.
+    """
 
     def __init__(self):
-        self._buckets: Dict[int, SecondBucket] = {}
-        self.overall = LatencyDigest()
-        self.inference = LatencyDigest()
-        self.ok = 0
-        self.errors = 0
-        #: Quality split of the OK responses: full-quality model answers vs
-        #: degraded fallback answers (``response.degraded``). ``ok`` is the
-        #: sum of both; without a fallback tier ``degraded`` stays 0 and
-        #: ``full_overall`` mirrors ``overall``.
-        self.degraded = 0
-        self.full_overall = LatencyDigest()
-        self.degraded_overall = LatencyDigest()
-        #: Cache split of the OK responses (``response.cache_hit``):
-        #: answers served from the result cache (tier hits + coalesced
-        #: followers) vs answers that ran an inference. Without a cache
-        #: ``cache_hits`` stays 0 and ``miss_overall`` mirrors ``overall``.
-        self.cache_hits = 0
-        self.hit_overall = LatencyDigest()
-        self.miss_overall = LatencyDigest()
+        # Send seconds and batch sizes stay far below 2**31: C ints.
+        #: Per response, in record order.
+        self._second = array("i")
+        self._flags = array("B")
+        #: Per OK response, in record order.
+        self._latency = array("d")
+        self._inference = array("d")
+        self._batch = array("i")
+        self._sent: Dict[int, int] = {}
+        self._digests: Tuple[int, Dict[str, LatencyDigest]] = (-1, {})
         self.first_sent_at: Optional[float] = None
         self.last_completed_at: float = 0.0
         self.last_ok_completed_at: float = 0.0
 
-    def _bucket(self, second: int) -> SecondBucket:
-        if second not in self._buckets:
-            self._buckets[second] = SecondBucket(second=second)
-        return self._buckets[second]
-
     def note_sent(self, sent_at: float) -> None:
         if self.first_sent_at is None:
             self.first_sent_at = sent_at
-        self._bucket(int(sent_at)).sent += 1
+        second = int(sent_at)
+        self._sent[second] = self._sent.get(second, 0) + 1
 
     def record(self, sent_at: float, response: RecommendationResponse) -> None:
-        bucket = self._bucket(int(sent_at))
-        self.last_completed_at = max(self.last_completed_at, response.completed_at)
+        second = int(sent_at)
+        completed_at = response.completed_at
         if response.ok:
-            bucket.ok += 1
-            self.last_ok_completed_at = max(
-                self.last_ok_completed_at, response.completed_at
-            )
-            bucket.digest.record(response.latency_s)
-            bucket.batch_sizes.append(response.batch_size)
-            self.ok += 1
-            self.overall.record(response.latency_s)
+            latency = response.latency_s
+            inference = response.inference_s
+            # Validate before any state changes, so that a rejected
+            # response leaves every count, bucket and timestamp as it was.
+            if not 0.0 <= latency < math.inf:
+                raise ValueError(
+                    f"latency must be finite and non-negative, got {latency!r}"
+                )
+            if inference == math.inf:
+                raise ValueError(f"inference_s must be finite, got {inference!r}")
+            flags = _OK
             if response.degraded:
-                self.degraded += 1
-                self.degraded_overall.record(response.latency_s)
-            else:
-                self.full_overall.record(response.latency_s)
+                flags |= _DEGRADED
             if response.cache_hit:
-                self.cache_hits += 1
-                self.hit_overall.record(response.latency_s)
-            else:
-                self.miss_overall.record(response.latency_s)
-            if response.inference_s > 0:
-                self.inference.record(response.inference_s)
+                flags |= _CACHE_HIT
+            self._second.append(second)
+            self._flags.append(flags)
+            self._latency.append(latency)
+            self._inference.append(inference)
+            self._batch.append(response.batch_size)
+            if completed_at > self.last_ok_completed_at:
+                self.last_ok_completed_at = completed_at
         else:
-            bucket.errors += 1
-            self.errors += 1
+            self._second.append(second)
+            self._flags.append(0)
+        if completed_at > self.last_completed_at:
+            self.last_completed_at = completed_at
 
     # -- summaries -----------------------------------------------------------
 
+    def _digest(self, name: str) -> LatencyDigest:
+        """One of the summary digests, derived from the columns the first
+        time one is asked for after new rows arrived."""
+        rows, digests = self._digests
+        if rows != len(self._flags):
+            flags = np.frombuffer(self._flags, dtype=np.uint8)
+            ok_flags = flags[(flags & _OK) != 0]
+            latency = np.frombuffer(self._latency, dtype=np.float64)
+            inference = np.frombuffer(self._inference, dtype=np.float64)
+            overall = LatencyDigest.from_values(latency)
+            digests = {
+                "overall": overall,
+                # Only answers that ran an inference report its time.
+                "inference": LatencyDigest.from_values(inference[inference > 0.0]),
+            }
+            for flag, flagged, unflagged in (
+                (_DEGRADED, "degraded", "full"),
+                (_CACHE_HIT, "hit", "miss"),
+            ):
+                mask = (ok_flags & flag) != 0
+                if mask.any():
+                    digests[flagged] = LatencyDigest.from_values(latency[mask])
+                    digests[unflagged] = LatencyDigest.from_values(latency[~mask])
+                else:
+                    digests[flagged] = LatencyDigest()
+                    digests[unflagged] = overall
+            self._digests = (len(self._flags), digests)
+        return digests[name]
+
+    overall = _summary("overall", "Latencies of the OK responses.")
+    inference = _summary("inference", "Inference times the OK responses reported.")
+    full_overall = _summary("full", "Latencies of full-quality model answers.")
+    degraded_overall = _summary(
+        "degraded", "Latencies of degraded fallback answers (``response.degraded``)."
+    )
+    hit_overall = _summary(
+        "hit", "Latencies of cache-served answers (``response.cache_hit``)."
+    )
+    miss_overall = _summary("miss", "Latencies of answers that ran an inference.")
+
+    @property
+    def ok(self) -> int:
+        return len(self._latency)
+
+    @property
+    def errors(self) -> int:
+        return len(self._flags) - len(self._latency)
+
+    @property
+    def degraded(self) -> int:
+        """OK responses answered by the degraded fallback tier."""
+        return self.degraded_overall.count
+
+    @property
+    def cache_hits(self) -> int:
+        """OK responses answered by the result cache."""
+        return self.hit_overall.count
+
     def buckets(self) -> List[SecondBucket]:
-        return [self._buckets[key] for key in sorted(self._buckets)]
+        buckets = {
+            second: SecondBucket(second=second, sent=sent)
+            for second, sent in self._sent.items()
+        }
+        seconds = np.frombuffer(self._second, dtype=np.intc)
+        ok = (np.frombuffer(self._flags, dtype=np.uint8) & _OK) != 0
+        keys, counts = np.unique(seconds[~ok], return_counts=True)
+        for second, errors in zip(keys.tolist(), counts.tolist()):
+            buckets.setdefault(second, SecondBucket(second)).errors = errors
+        # Group the OK rows by send second, keeping record order inside
+        # each group.
+        order = np.argsort(seconds[ok], kind="stable")
+        latency = np.frombuffer(self._latency, dtype=np.float64)[order]
+        batch = np.frombuffer(self._batch, dtype=np.intc)[order]
+        keys, starts, counts = np.unique(
+            seconds[ok][order], return_index=True, return_counts=True
+        )
+        for second, start, count in zip(keys.tolist(), starts, counts.tolist()):
+            rows = slice(start, start + count)
+            entry = buckets.setdefault(second, SecondBucket(second))
+            entry.ok = count
+            entry.digest = LatencyDigest.from_values(latency[rows])
+            entry.batch_sizes = batch[rows].tolist()
+        return [buckets[key] for key in sorted(buckets)]
 
     @property
     def total(self) -> int:
-        return self.ok + self.errors
+        return len(self._flags)
 
     def percentile_ms(self, q: float) -> float:
         return self.overall.percentile(q) * 1000.0

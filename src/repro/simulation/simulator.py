@@ -17,28 +17,41 @@ telemetry spans) are readings of this clock — see ``docs/observability.md``.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.simulation.events import Signal
 
 Process = Generator[Any, Any, None]
 
 
-class EventHandle:
+class EventHandle(list):
     """A scheduled callback that can be cancelled before it fires.
+
+    The handle *is* the heap entry, ``[time, sequence, fn, simulator]``,
+    so scheduling allocates one object per event. Entries order by time,
+    then by sequence number; the sequence is unique, so the callback is
+    never compared. The simulator slot is cleared once the event settles
+    (fires or is cancelled); a cancelled event also drops its callback.
+    Being a list, a handle is unhashable: keep handles as values, not keys.
 
     Cancellation is O(1): the heap entry stays in place but is skipped —
     without advancing the clock — when it reaches the top, so a cancelled
     timer can never extend a run past its natural end.
     """
 
-    __slots__ = ("fn", "cancelled", "fired", "_simulator")
+    __slots__ = ()
 
-    def __init__(self, simulator: "Simulator", fn: Callable[[], None]):
-        self.fn: Optional[Callable[[], None]] = fn
-        self.cancelled = False
-        self.fired = False
-        self._simulator = simulator
+    @property
+    def fn(self) -> Optional[Callable[[], None]]:
+        return self[2]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[3] is None and self[2] is None
+
+    @property
+    def fired(self) -> bool:
+        return self[3] is None and self[2] is not None
 
     def cancel(self) -> None:
         """Cancel the event (idempotent); a cancelled event never fires.
@@ -47,18 +60,67 @@ class EventHandle:
         not touch the simulator's cancelled-event count, which only
         tracks dead entries still sitting in the heap.
         """
-        if not self.cancelled and not self.fired:
-            self.cancelled = True
-            self.fn = None  # release closed-over state immediately
-            self._simulator._cancelled_events += 1
+        simulator = self[3]
+        if simulator is not None:
+            self[2] = None  # release closed-over state immediately
+            self[3] = None
+            simulator._cancelled_events += 1
+
+
+class _Process:
+    """A spawned generator and the two callbacks that drive it.
+
+    Both are bound once at spawn, so a process that sleeps or waits
+    schedules an existing bound method instead of a fresh closure.
+    """
+
+    __slots__ = ("simulator", "process", "signal", "step", "wake")
+
+    def __init__(self, simulator: "Simulator", process: Process):
+        self.simulator = simulator
+        self.process = process
+        #: The signal the process waits on; its payload is sent on resume.
+        self.signal: Optional[Signal] = None
+        self.step = self._step
+        self.wake = self._wake
+
+    def _step(self) -> None:
+        signal = self.signal
+        if signal is None:
+            send_value = None
+        else:
+            send_value = signal.payload
+            self.signal = None
+        try:
+            yielded = self.process.send(send_value)
+        except StopIteration:
+            self.simulator._live_processes -= 1
+            return
+        if isinstance(yielded, Signal):
+            self.signal = yielded
+            yielded.add_waiter(self.wake)
+        elif isinstance(yielded, (int, float)):
+            self.simulator.call_in(float(yielded), self.step)
+        else:
+            raise TypeError(
+                f"process yielded {type(yielded).__name__}; "
+                "expected a delay (seconds) or a Signal"
+            )
+
+    def _wake(self) -> None:
+        self.simulator.call_in(0.0, self.step)
 
 
 class Simulator:
-    """Virtual clock + event heap + process scheduler."""
+    """Virtual clock + event heap + process scheduler.
+
+    Every event enters through :meth:`call_at`, the processes' own
+    resumptions included.
+    """
 
     def __init__(self):
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, EventHandle]] = []
+        self._heap: List[EventHandle] = []
         self._sequence = 0
         self._live_processes = 0
         self._cancelled_events = 0
@@ -66,41 +128,26 @@ class Simulator:
     # -- low-level scheduling ---------------------------------------------------
 
     def call_at(self, time: float, fn: Callable[[], None]) -> EventHandle:
-        if time < self.now:
+        # Also rejects NaN, for which ``time < self.now`` would be False.
+        if not time >= self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        handle = EventHandle(self, fn)
-        heapq.heappush(self._heap, (time, self._sequence, handle))
+        handle = EventHandle((time, self._sequence, fn, self))
+        heapq.heappush(self._heap, handle)
         self._sequence += 1
         return handle
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> EventHandle:
-        return self.call_at(self.now + max(delay, 0.0), fn)
+        """Schedule ``fn`` after ``delay`` seconds; a negative delay is 0."""
+        if delay < 0.0:
+            delay = 0.0
+        return self.call_at(self.now + delay, fn)
 
     # -- processes ----------------------------------------------------------------
 
     def spawn(self, process: Process) -> None:
         """Start a generator-based process immediately."""
         self._live_processes += 1
-        self.call_in(0.0, lambda: self._step(process))
-
-    def _step(self, process: Process, send_value: Any = None) -> None:
-        try:
-            yielded = process.send(send_value)
-        except StopIteration:
-            self._live_processes -= 1
-            return
-        if isinstance(yielded, Signal):
-            signal = yielded
-            signal.add_waiter(
-                lambda: self.call_in(0.0, lambda: self._step(process, signal.payload))
-            )
-        elif isinstance(yielded, (int, float)):
-            self.call_in(float(yielded), lambda: self._step(process))
-        else:
-            raise TypeError(
-                f"process yielded {type(yielded).__name__}; "
-                "expected a delay (seconds) or a Signal"
-            )
+        self.call_in(0.0, _Process(self, process).step)
 
     # -- running -------------------------------------------------------------------
 
@@ -109,20 +156,23 @@ class Simulator:
 
         Returns the simulation time at which execution stopped.
         """
-        while self._heap:
-            time, _seq, handle = self._heap[0]
-            if handle.cancelled:
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            handle = heap[0]
+            if handle[3] is None:
                 # Dead timer: discard without advancing the clock.
-                heapq.heappop(self._heap)
+                pop(heap)
                 self._cancelled_events -= 1
                 continue
+            time = handle[0]
             if until is not None and time > until:
                 self.now = until
                 return self.now
-            heapq.heappop(self._heap)
+            pop(heap)
             self.now = time
-            handle.fired = True
-            handle.fn()
+            handle[3] = None  # fired
+            handle[2]()
         if until is not None:
             self.now = max(self.now, until)
         return self.now

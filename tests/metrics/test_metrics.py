@@ -105,6 +105,48 @@ class TestCollector:
         assert collector.errors == 1
         assert collector.buckets()[0].error_rate == 1.0
 
+    @pytest.mark.parametrize(
+        "latency, inference",
+        [
+            (float("nan"), 0.001),
+            (-0.001, 0.001),
+            (float("inf"), 0.001),
+            (0.010, float("inf")),
+        ],
+    )
+    def test_rejected_response_changes_nothing(self, latency, inference):
+        """Regression: a NaN latency used to bump the bucket's ok count and
+        the last-ok timestamp before the digest rejected it, and an
+        infinite inference time raised after ``ok`` and ``overall`` were
+        already updated."""
+
+        def snapshot(collector):
+            return (
+                collector.ok, collector.errors, collector.total,
+                collector.degraded, collector.cache_hits,
+                collector.first_sent_at, collector.last_completed_at,
+                collector.last_ok_completed_at,
+                collector.percentile_ms(90), collector.inference.count,
+                [
+                    (b.second, b.sent, b.ok, b.errors, b.digest.count,
+                     b.batch_sizes)
+                    for b in collector.buckets()
+                ],
+            )
+
+        collector = MetricsCollector()
+        collector.note_sent(0.5)
+        collector.record(0.5, ok_response(0, 0.5, 0.020, batch=4))
+        collector.note_sent(0.7)
+        before = snapshot(collector)
+        bad = RecommendationResponse(
+            request_id=1, status=HTTP_OK, completed_at=9.0,
+            latency_s=latency, inference_s=inference, batch_size=2,
+        )
+        with pytest.raises(ValueError, match="must be finite"):
+            collector.record(0.7, bad)
+        assert snapshot(collector) == before
+
     def test_achieved_throughput(self):
         collector = MetricsCollector()
         for index in range(100):

@@ -47,6 +47,27 @@ class TestScheduling:
         sim.run()
         assert fired
 
+    def test_nan_time_rejected(self):
+        """Regression: ``nan < now`` is False, so a NaN time used to enter
+        the heap and fire out of order (2.0, NaN, 1.0, 3.0 fired with the
+        clock at 1.0, 2.0, nan, 3.0)."""
+        sim = Simulator()
+        fired_at = []
+        sim.call_at(2.0, lambda: fired_at.append(sim.now))
+        with pytest.raises(ValueError, match="in the past"):
+            sim.call_at(float("nan"), lambda: fired_at.append(sim.now))
+        sim.call_at(1.0, lambda: fired_at.append(sim.now))
+        sim.call_at(3.0, lambda: fired_at.append(sim.now))
+        assert sim.pending_events == 3
+        sim.run()
+        assert fired_at == [1.0, 2.0, 3.0]
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.call_in(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
 
 class TestProcesses:
     def test_sleep_advances_clock(self):
