@@ -34,7 +34,7 @@ from repro.serving.request import (
     RecommendationResponse,
     ResponseCallback,
 )
-from repro.simulation import Simulator
+from repro.simulation import LognormalJitter, Simulator
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -93,7 +93,8 @@ class ClusterIPService:
     ):
         self.simulator = simulator
         self.deployment = deployment
-        self.rng = rng
+        #: Every network-leg draw; the jitter owns ``rng``.
+        self._jitter = LognormalJitter(rng).draw
         self._round_robin = 0
         #: Heterogeneous scheduler front (None = the paper's single-class
         #: routing, bit-identical to the pre-scheduler service). When set,
@@ -181,8 +182,7 @@ class ClusterIPService:
 
     def _network_delay(self) -> float:
         return (
-            self.NETWORK_LATENCY_S
-            * float(self.rng.lognormal(0.0, self.NETWORK_JITTER_SIGMA))
+            self.NETWORK_LATENCY_S * self._jitter(self.NETWORK_JITTER_SIGMA)
             + self.extra_latency_s
         )
 
@@ -203,12 +203,20 @@ class ClusterIPService:
             self._cross_zone_counter.inc(legs)
 
     def _pod_network_delay(self, pod: Pod) -> float:
-        """One network leg to/from a specific pod, zone charged honestly."""
-        extra = self._cross_zone_extra(pod)
-        if extra > 0.0:
+        """One network leg to/from a specific pod, zone charged honestly.
+
+        Every routed request pays two of these, so the single-zone leg is
+        one call: :meth:`_network_delay` and :meth:`_cross_zone_extra`
+        inlined, with their arithmetic unchanged.
+        """
+        delay = (
+            self.NETWORK_LATENCY_S * self._jitter(self.NETWORK_JITTER_SIGMA)
+            + self.extra_latency_s
+        )
+        if self._zones > 1 and pod.zone != self.home_zone:
             self._note_cross_zone()
-            return self._network_delay() + extra
-        return self._network_delay()
+            return delay + self.CROSS_ZONE_EXTRA_S
+        return delay
 
     # -- routing ------------------------------------------------------------
 

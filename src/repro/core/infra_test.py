@@ -35,7 +35,7 @@ from repro.tenancy.config import TenancyConfig
 from repro.tenancy.fleet import TenantServing
 from repro.tenancy.split import TrafficSplitter
 from repro.hardware.latency_model import NetworkHop
-from repro.simulation import RandomStreams, Simulator
+from repro.simulation import LognormalJitter, RandomStreams, Simulator
 from repro.workload.statistics import WorkloadStatistics
 from repro.workload.synthetic import SyntheticWorkloadGenerator
 
@@ -204,12 +204,12 @@ def run_infra_test(
             ]
             server = servers[0]
             hop = NetworkHop()
-            net_rng = streams.stream("shard-net")
+            net_jitter = LognormalJitter(streams.stream("shard-net")).draw
             aggregator = ScatterGatherAggregator(
                 simulator=simulator,
                 config=sharding,
                 shard_submits=[shard.submit for shard in servers],
-                network_delay=lambda: hop.sample(net_rng),
+                network_delay=lambda: hop.sample(net_jitter),
                 top_k=1,
                 telemetry=telemetry,
             )

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Callable
 
 from repro.hardware.device import DeviceModel
 from repro.tensor.ops import CostRecord, CostTrace
+
+#: A lognormal jitter source: ``draw(sigma)`` -> one draw with mean 0.0.
+JitterDraw = Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -55,26 +57,27 @@ class NetworkHop:
         if self.cross_zone_extra_s < 0:
             raise ValueError("cross_zone_extra_s must be >= 0")
 
-    def sample(self, rng: np.random.Generator, cross_zone: bool = False) -> float:
+    def sample(self, draw: JitterDraw, cross_zone: bool = False) -> float:
         """One-way traversal time with lognormal jitter.
 
-        ``cross_zone=True`` adds the fixed inter-zone surcharge on top of
-        the jittered intra-zone base; the default path is byte-identical
-        to a hop that knows nothing about zones (same single RNG draw,
-        no arithmetic on the result).
+        ``draw(sigma)`` is the caller's jitter source, one lognormal draw
+        with ``mean=0.0`` per call: the bound ``draw`` of a
+        :class:`~repro.simulation.random_streams.LognormalJitter` over the
+        caller's own stream. ``cross_zone=True`` adds the fixed inter-zone
+        surcharge on top of the jittered intra-zone base; the default path
+        is byte-identical to a hop that knows nothing about zones (same
+        single draw, no arithmetic on the result).
         """
-        delay = self.base_s * float(
-            rng.lognormal(mean=0.0, sigma=self.jitter_sigma)
-        )
+        delay = self.base_s * draw(self.jitter_sigma)
         if cross_zone:
             delay += self.cross_zone_extra_s
         return delay
 
     def sample_round_trip(
-        self, rng: np.random.Generator, cross_zone: bool = False
+        self, draw: JitterDraw, cross_zone: bool = False
     ) -> float:
         """Request + response traversal (two independent draws)."""
-        return self.sample(rng, cross_zone) + self.sample(rng, cross_zone)
+        return self.sample(draw, cross_zone) + self.sample(draw, cross_zone)
 
 
 @dataclass(frozen=True)

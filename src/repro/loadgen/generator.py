@@ -36,6 +36,20 @@ if TYPE_CHECKING:
 SubmitFn = Callable[[RecommendationRequest, Callable[[RecommendationResponse], None]], None]
 
 
+def _cancel_timers(state: dict) -> None:
+    """Cancel a request's pending timeout and hedge timers."""
+    for key in ("timeout", "hedge"):
+        if state[key] is not None:
+            state[key].cancel()
+            state[key] = None
+
+
+def _settle_spans(state: dict, status: int) -> None:
+    """Finish a request's open hedge span with its final status."""
+    state["hedge_span"].finish(status=status)
+    state["hedge_span"] = None
+
+
 class LoadGenerator:
     """Replays sessions against a submit() target inside the simulator."""
 
@@ -136,22 +150,22 @@ class LoadGenerator:
 
     def _send_one(self) -> None:
         session_id, prefix = self.sessions.next_click()
+        sent_at = self.simulator.now
         request = RecommendationRequest(
             request_id=self._next_request_id,
             session_id=session_id,
             session_items=prefix,
-            sent_at=self.simulator.now,
+            sent_at=sent_at,
             deadline_s=(
                 None
                 if self.slo_deadline_s is None
-                else self.simulator.now + self.slo_deadline_s
+                else sent_at + self.slo_deadline_s
             ),
         )
         self._next_request_id += 1
         self.pending += 1
         self.sent += 1
-        self.collector.note_sent(request.sent_at)
-        sent_at = request.sent_at
+        self.collector.note_sent(sent_at)
         # Per-logical-request state: one settle across all attempts and
         # hedges, plus the cancellable timers covering the whole request.
         state = {
@@ -171,17 +185,6 @@ class LoadGenerator:
                 "request", request.request_id, session_id=int(session_id)
             )
 
-        def cancel_timers() -> None:
-            for key in ("timeout", "hedge"):
-                if state[key] is not None:
-                    state[key].cancel()
-                    state[key] = None
-
-        def settle_spans(status: int) -> None:
-            if state["hedge_span"] is not None:
-                state["hedge_span"].finish(status=status)
-                state["hedge_span"] = None
-
         def on_response(response: RecommendationResponse) -> None:
             if state["done"]:
                 return  # the client already settled; connection is gone
@@ -193,7 +196,8 @@ class LoadGenerator:
                 self._schedule_retry(request, state, response, on_response)
                 return
             state["done"] = True
-            cancel_timers()
+            if state["timeout"] is not None or state["hedge"] is not None:
+                _cancel_timers(state)
             self.pending -= 1
             if policy is not None and state["attempt"] > 0:
                 if response.ok:
@@ -218,7 +222,8 @@ class LoadGenerator:
                     batch_size=response.batch_size,
                     **attrs,
                 )
-            settle_spans(response.status)
+            if state["hedge_span"] is not None:
+                _settle_spans(state, response.status)
             self.sessions.complete(session_id)
 
         if self.request_timeout_s is not None:
@@ -228,13 +233,15 @@ class LoadGenerator:
                     return
                 state["done"] = True
                 state["timeout"] = None
-                cancel_timers()
+                if state["hedge"] is not None:
+                    _cancel_timers(state)
                 self.pending -= 1
                 self.timeouts += 1
                 if root_span is not None:
                     self._timeout_counter.inc()
                     root_span.finish(status=HTTP_GATEWAY_TIMEOUT)
-                settle_spans(HTTP_GATEWAY_TIMEOUT)
+                if state["hedge_span"] is not None:
+                    _settle_spans(state, HTTP_GATEWAY_TIMEOUT)
                 now = self.simulator.now
                 self.collector.record(
                     sent_at,

@@ -51,7 +51,7 @@ from repro.serving.request import (
     RecommendationResponse,
     ResponseCallback,
 )
-from repro.simulation import Signal, Simulator
+from repro.simulation import LognormalJitter, Signal, Simulator
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -133,7 +133,8 @@ class EtudeInferenceServer:
         self.service_profile = service_profile
         self.profile = profile or ActixProfile()
         self.batching = batching or BatchingConfig()
-        self.rng = rng
+        #: Every lognormal draw of this replica; the jitter owns ``rng``.
+        self._jitter = LognormalJitter(rng).draw
         self.model = model
         self.name = name
         # The paper: the server "allows users to configure the number of
@@ -291,7 +292,9 @@ class EtudeInferenceServer:
         self._queue: Deque[Tuple[RecommendationRequest, ResponseCallback, float]] = (
             deque()
         )
-        self._work_signal = Signal(f"{name}-work")
+        self._work_name = f"{name}-work"
+        self._linger_name = f"{name}-linger"
+        self._work_signal = Signal(self._work_name)
         #: Set while the GPU executor idles inside the linger window, so
         #: intake can cut the wait short the moment the buffer fills.
         self._linger_wake: Optional[Signal] = None
@@ -362,7 +365,8 @@ class EtudeInferenceServer:
                 "queued", request.request_id, server=self.name
             )
         self._queue.append((request, respond, self.simulator.now))
-        self._note_queued(request)
+        if self._tenant_queued is not None:
+            self._note_queued(request)
         self._work_signal.fire()
         if (
             self._linger_wake is not None
@@ -438,7 +442,7 @@ class EtudeInferenceServer:
         if self.telemetry is not None:
             self._cache_miss_counter.inc()
         if cache.remote is not None:
-            rtt = self._remote_hop.sample_round_trip(self.rng)
+            rtt = self._remote_hop.sample_round_trip(self._jitter)
             if self.telemetry is not None:
                 self.telemetry.trace.begin(
                     "cache_remote", request.request_id, at=now
@@ -567,10 +571,9 @@ class EtudeInferenceServer:
 
         ``payload`` is the raw result — top-k items, or an
         ``(items, scores)`` pair on shard replicas (cached as-is so hits
-        keep the scores the aggregator's merge needs).
+        keep the scores the aggregator's merge needs). Only called with
+        the cache on.
         """
-        if self.cache is None:
-            return
         key = self._flight_keys.pop(request.request_id, None)
         if key is None:
             return
@@ -725,7 +728,8 @@ class EtudeInferenceServer:
         while self._queue:
             entry = policy.pop(self._queue)
             request, respond, arrival = entry
-            self._note_dequeued(request)
+            if self._tenant_queued is not None:
+                self._note_dequeued(request)
             now = self.simulator.now
             if not policy.viable(request.deadline_s, now):
                 self._shed(
@@ -758,7 +762,8 @@ class EtudeInferenceServer:
         self.healthy = False
         while self._queue:
             request, respond, _arrival = self._queue.popleft()
-            self._note_dequeued(request)
+            if self._tenant_queued is not None:
+                self._note_dequeued(request)
             if self.telemetry is not None:
                 span = self._queued_spans.pop(request.request_id, None)
                 if span is not None:
@@ -810,14 +815,16 @@ class EtudeInferenceServer:
         return serving.service_profile
 
     def _note_queued(self, request: RecommendationRequest) -> None:
-        if self._tenant_queued is None or request.tenant is None:
+        """Tenant fleets only: callers check ``_tenant_queued`` first."""
+        if request.tenant is None:
             return
         self._tenant_queued[request.tenant] = (
             self._tenant_queued.get(request.tenant, 0) + 1
         )
 
     def _note_dequeued(self, request: RecommendationRequest) -> None:
-        if self._tenant_queued is None or request.tenant is None:
+        """Tenant fleets only: callers check ``_tenant_queued`` first."""
+        if request.tenant is None:
             return
         queued = self._tenant_queued.get(request.tenant, 0)
         self._tenant_queued[request.tenant] = max(0, queued - 1)
@@ -858,14 +865,12 @@ class EtudeInferenceServer:
 
     def _wait_for_work(self) -> Signal:
         if self._work_signal.fired:
-            self._work_signal = Signal(f"{self.name}-work")
+            self._work_signal = Signal(self._work_name)
         return self._work_signal
 
     def _http_overhead(self) -> float:
-        jitter = float(
-            self.rng.lognormal(mean=0.0, sigma=self.profile.jitter_sigma)
-        )
-        return self.profile.request_overhead_s * jitter
+        profile = self.profile
+        return profile.request_overhead_s * self._jitter(profile.jitter_sigma)
 
     def _respond_ok(
         self,
@@ -886,8 +891,11 @@ class EtudeInferenceServer:
             return False
         items = None
         scores = None
-        serving = self._tenant_serving(request)
-        model = serving.model if serving is not None else self.model
+        model = self.model
+        if self.tenants is not None:
+            serving = self._tenant_serving(request)
+            if serving is not None:
+                model = serving.model
         if model is not None:
             if hasattr(model, "recommend_with_scores"):
                 # Shard replica: score only this pod's catalog slice and
@@ -897,9 +905,10 @@ class EtudeInferenceServer:
                 )
             else:
                 items = model.recommend(request.session_items)
-        self._resolve_flight_ok(
-            request, items if scores is None else (items, scores)
-        )
+        if self.cache is not None:
+            self._resolve_flight_ok(
+                request, items if scores is None else (items, scores)
+            )
         now = self.simulator.now
         respond(
             RecommendationResponse(
@@ -938,7 +947,7 @@ class EtudeInferenceServer:
         if self.device.shared_bandwidth:
             demanded = self._active_workers * self.device.weight_bandwidth
             contention = max(1.0, demanded / self.device.shared_bandwidth)
-        noise = float(self.rng.lognormal(mean=0.0, sigma=0.08))
+        noise = self._jitter(0.08)
         return (other_s + memory_s * contention) * noise * self.slowdown
 
     def _cpu_worker(self, index: int):
@@ -948,7 +957,8 @@ class EtudeInferenceServer:
                 continue
             if self.admission is None:
                 request, respond, arrival = self._queue.popleft()
-                self._note_dequeued(request)
+                if self._tenant_queued is not None:
+                    self._note_dequeued(request)
             else:
                 entry = self._next_viable()
                 if entry is None:
@@ -961,7 +971,9 @@ class EtudeInferenceServer:
                 if queued_span is not None:
                     queued_span.finish(at=started)
             self._active_workers += 1
-            inference_s = self._cpu_service_time(self._tenant_profile(request))
+            inference_s = self._cpu_service_time(
+                None if self.tenants is None else self._tenant_profile(request)
+            )
             http_s = self._http_overhead()
             yield http_s + inference_s
             self._active_workers -= 1
@@ -1007,7 +1019,7 @@ class EtudeInferenceServer:
         (or when the whole batch is one tenant's) this reduces to the
         single-profile expression, with the identical RNG draw.
         """
-        noise = float(self.rng.lognormal(mean=0.0, sigma=0.08))
+        noise = self._jitter(0.08)
         if self.tenants is not None and batch is not None:
             groups: Dict[Optional[Tuple[str, str]], int] = {}
             for request, _respond, _arrival in batch:
@@ -1030,47 +1042,49 @@ class EtudeInferenceServer:
         return self.service_profile.latency(batch_size) * noise * self.slowdown
 
     def _gpu_executor(self):
+        simulator = self.simulator
+        queue = self._queue
         while True:
             # Re-read the knobs every iteration: the heterogeneous
             # scheduler's tuner swaps ``self.batching`` between epochs,
             # and the next flush must honour the new window. Untuned runs
             # read the same values every time, so this is bit-identical
             # to hoisting them out of the loop.
-            max_batch = self.batching.max_batch_size
-            linger = self.batching.max_delay_s
-            if not self._queue:
+            batching = self.batching
+            max_batch = batching.max_batch_size
+            if not queue:
                 yield self._wait_for_work()
                 continue
             # Honour the linger window: flush when the oldest buffered
             # request is max_delay old or the buffer is full.
             linger_started = None
-            oldest = self._queue[0][2]
-            deadline = oldest + linger
-            if self.simulator.now < deadline and len(self._queue) < max_batch:
+            deadline = queue[0][2] + batching.max_delay_s
+            if simulator.now < deadline and len(queue) < max_batch:
                 # The executor is idle and deliberately waiting for the
                 # buffer to fill — that wait is batch-linger, not queueing.
                 # Wake at the deadline OR the moment intake fills the
                 # buffer: sleeping out the rest of the window with a full
                 # buffer only delays a flush that could already happen.
-                linger_started = self.simulator.now
-                wake = Signal(f"{self.name}-linger")
-                deadline_timer = self.simulator.call_at(deadline, wake.fire)
+                linger_started = simulator.now
+                wake = Signal(self._linger_name)
+                deadline_timer = simulator.call_at(deadline, wake.fire)
                 self._linger_wake = wake
                 yield wake
                 self._linger_wake = None
                 deadline_timer.cancel()
-            take = min(len(self._queue), max_batch)
+            take = min(len(queue), max_batch)
             if take == 0:
                 continue
             if self.admission is None:
-                batch = [self._queue.popleft() for _ in range(take)]
-                for entry in batch:
-                    self._note_dequeued(entry[0])
+                batch = [queue.popleft() for _ in range(take)]
+                if self._tenant_queued is not None:
+                    for entry in batch:
+                        self._note_dequeued(entry[0])
             else:
                 # Assemble the batch from still-viable requests only:
                 # doomed work must not occupy a GPU batch slot.
                 batch = []
-                while self._queue and len(batch) < max_batch:
+                while queue and len(batch) < max_batch:
                     entry = self._next_viable()
                     if entry is None:
                         break
@@ -1095,11 +1109,12 @@ class EtudeInferenceServer:
                 if not batch:
                     continue
                 take = len(batch)
-            started = self.simulator.now
+            started = simulator.now
             batch_time = self._gpu_batch_time(take, batch)
             yield batch_time
             self._batch_counter += 1
             self.batched_requests += take
+            batch_id = self._batch_counter
             if self.telemetry is not None:
                 self._trace_batch(batch, started, batch_time, take, linger_started)
             for request, respond, arrival in batch:
@@ -1110,13 +1125,13 @@ class EtudeInferenceServer:
                 http_s = self._http_overhead()
                 if self.telemetry is not None:
                     self.telemetry.trace.begin(
-                        "http_respond", request.request_id, at=self.simulator.now
-                    ).finish(at=self.simulator.now + http_s)
-                self.simulator.call_in(
+                        "http_respond", request.request_id, at=simulator.now
+                    ).finish(at=simulator.now + http_s)
+                simulator.call_in(
                     http_s,
                     self._make_responder(
                         request, respond, batch_time, take, started, arrival,
-                        self._batch_counter,
+                        batch_id,
                     ),
                 )
 

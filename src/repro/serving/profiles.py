@@ -52,6 +52,10 @@ class ActixProfile:
     #: its service profile already prices; see docs/retrieval.md).
     retrieval: Optional[RetrievalConfig] = None
 
+    def __post_init__(self):
+        if self.jitter_sigma < 0:
+            raise ValueError("jitter_sigma must be >= 0")
+
 
 @dataclass(frozen=True)
 class TorchServeProfile:
@@ -71,3 +75,7 @@ class TorchServeProfile:
     max_queue_depth: int = 1_000
     #: Lognormal sigma for overhead jitter (Python GC, IPC contention).
     jitter_sigma: float = 0.45
+
+    def __post_init__(self):
+        if self.jitter_sigma < 0:
+            raise ValueError("jitter_sigma must be >= 0")

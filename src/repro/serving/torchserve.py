@@ -35,7 +35,7 @@ from repro.serving.request import (
     RecommendationResponse,
     ResponseCallback,
 )
-from repro.simulation import Signal, Simulator
+from repro.simulation import LognormalJitter, Signal, Simulator
 
 
 class TorchServeServer:
@@ -55,7 +55,8 @@ class TorchServeServer:
         self.device = device
         self.service_profile = service_profile
         self.profile = profile or TorchServeProfile()
-        self.rng = rng
+        #: Every overhead draw of this deployment; the jitter owns ``rng``.
+        self._jitter = LognormalJitter(rng).draw
         self.name = name
 
         self._queue: Deque[Tuple[RecommendationRequest, ResponseCallback, float]] = (
@@ -75,8 +76,8 @@ class TorchServeServer:
     def submit(
         self, request: RecommendationRequest, respond: ResponseCallback
     ) -> None:
-        frontend_s = self.profile.frontend_overhead_s * float(
-            self.rng.lognormal(0.0, self.profile.jitter_sigma)
+        frontend_s = self.profile.frontend_overhead_s * self._jitter(
+            self.profile.jitter_sigma
         )
         self.simulator.call_in(
             frontend_s, lambda: self._enqueue(request, respond)
@@ -126,8 +127,8 @@ class TorchServeServer:
                 self.timed_out += 1
                 self._fail(request, respond)
                 continue
-            handler_s = self.profile.worker_overhead_s * float(
-                self.rng.lognormal(0.0, self.profile.jitter_sigma)
+            handler_s = self.profile.worker_overhead_s * self._jitter(
+                self.profile.jitter_sigma
             )
             inference_s = 0.0
             if self.service_profile is not None:

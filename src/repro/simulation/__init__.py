@@ -18,6 +18,6 @@ Process model:
 
 from repro.simulation.events import Signal
 from repro.simulation.simulator import EventHandle, Simulator
-from repro.simulation.random_streams import RandomStreams
+from repro.simulation.random_streams import LognormalJitter, RandomStreams
 
-__all__ = ["Simulator", "EventHandle", "Signal", "RandomStreams"]
+__all__ = ["Simulator", "EventHandle", "Signal", "RandomStreams", "LognormalJitter"]

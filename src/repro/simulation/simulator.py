@@ -96,19 +96,31 @@ class _Process:
         except StopIteration:
             self.simulator._live_processes -= 1
             return
-        if isinstance(yielded, Signal):
+        # A plain float is by far the most common yield; float subclasses
+        # (np.float64), ints and bools take the conversion below.
+        if type(yielded) is float:
+            delay = yielded
+        elif isinstance(yielded, Signal):
             self.signal = yielded
             yielded.add_waiter(self.wake)
+            return
         elif isinstance(yielded, (int, float)):
-            self.simulator.call_in(float(yielded), self.step)
+            delay = float(yielded)
         else:
             raise TypeError(
                 f"process yielded {type(yielded).__name__}; "
                 "expected a delay (seconds) or a Signal"
             )
+        # ``call_in``'s arithmetic, without the extra call. A NaN delay
+        # passes the clamp and is rejected by ``call_at``.
+        simulator = self.simulator
+        simulator.call_at(
+            simulator.now + (0.0 if delay < 0.0 else delay), self.step
+        )
 
     def _wake(self) -> None:
-        self.simulator.call_in(0.0, self.step)
+        simulator = self.simulator
+        simulator.call_at(simulator.now + 0.0, self.step)
 
 
 class Simulator:

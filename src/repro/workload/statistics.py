@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from repro.workload.clicklog import ClickLog
 
@@ -33,6 +32,10 @@ def fit_power_law_exponent(
     ``samples`` are positive integers; the fit uses the tail ``>= x_min``
     with support up to ``x_max`` (default: the sample maximum).
     """
+    # Imported here: scipy is most of the package's import time, and a
+    # load test or planner sweep never fits an exponent.
+    from scipy.optimize import minimize_scalar
+
     samples = np.asarray(samples, dtype=np.float64)
     tail = samples[samples >= x_min]
     if tail.size == 0:

@@ -18,13 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.workload.clicklog import ClickLog
 
 
 def session_length_ks(log_a: ClickLog, log_b: ClickLog) -> float:
     """Two-sample KS statistic between the session-length distributions."""
+    # Imported here: scipy is most of the package's import time, and a
+    # load test or planner sweep never validates a workload.
+    from scipy import stats
+
     lengths_a = log_a.session_lengths()
     lengths_b = log_b.session_lengths()
     statistic, _pvalue = stats.ks_2samp(lengths_a, lengths_b)

@@ -203,3 +203,11 @@ class TestWorkerThreadConfiguration:
                 sim, CPU_E2.device, make_profile(CPU_E2.device),
                 np.random.default_rng(0), worker_threads=0,
             )
+
+
+class TestProfileValidation:
+    def test_negative_jitter_sigma_rejected_at_construction(self):
+        """Rejected up front, not by the first jitter draw mid-run."""
+        with pytest.raises(ValueError, match="jitter_sigma must be >= 0"):
+            ActixProfile(jitter_sigma=-0.1)
+        assert ActixProfile(jitter_sigma=0.0).jitter_sigma == 0.0

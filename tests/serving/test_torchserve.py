@@ -1,6 +1,7 @@
 """TorchServe queueing model: overheads, saturation, 100 ms timeout."""
 
 import numpy as np
+import pytest
 
 from repro.core.infra_test import INFRA_TEST_DEVICE
 from repro.serving.profiles import TorchServeProfile
@@ -89,3 +90,11 @@ class TestWorkerScaling:
             return sum(1 for r in responses if not r.ok)
 
         assert errors_with(8.0) < errors_with(2.0)
+
+
+class TestProfileValidation:
+    def test_negative_jitter_sigma_rejected_at_construction(self):
+        """Rejected up front, not by the first jitter draw mid-run."""
+        with pytest.raises(ValueError, match="jitter_sigma must be >= 0"):
+            TorchServeProfile(jitter_sigma=-0.1)
+        assert TorchServeProfile(jitter_sigma=0.0).jitter_sigma == 0.0

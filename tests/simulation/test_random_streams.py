@@ -5,12 +5,18 @@ stream never perturbs another. That is what keeps experiment results
 stable when actors are added or events reorder — and, since the parallel
 execution backend re-derives each run's streams in worker processes, it
 is also what makes serial and mp sweeps bit-identical.
+
+The block-drawn :class:`LognormalJitter` must return, draw for draw, what
+scalar ``Generator.lognormal(0.0, sigma)`` calls return on the same
+stream.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation import RandomStreams
+from repro.simulation import LognormalJitter, RandomStreams
 
 
 def draws(streams, name, n=8):
@@ -103,3 +109,41 @@ class TestFork:
     def test_forks_do_not_collide_with_parent_streams(self):
         parent = RandomStreams(7)
         assert draws(parent.fork(0), "cluster") != draws(parent, "cluster")
+
+
+BLOCK = LognormalJitter.BLOCK
+
+#: The sigmas the program draws with (device noise, network legs, Actix
+#: and TorchServe overheads), zero, and arbitrary ones up to where exp
+#: overflows to inf.
+sigmas = st.one_of(
+    st.sampled_from([0.0, 0.08, 0.3, 0.35, 0.45]),
+    st.floats(min_value=0.0, max_value=1000.0),
+)
+
+
+class TestLognormalJitter:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        length=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK]),
+        pattern=st.lists(sigmas, min_size=1, max_size=8),
+    )
+    def test_draws_equal_scalar_lognormal(self, seed, length, pattern):
+        jitter = LognormalJitter(np.random.default_rng(seed))
+        reference = np.random.default_rng(seed)
+        for index in range(length):
+            sigma = pattern[index % len(pattern)]
+            expected = float(reference.lognormal(0.0, sigma))
+            assert jitter.draw(sigma) == expected, (index, sigma)
+
+    @pytest.mark.parametrize("sigma", [-0.1, -0.0, -np.inf])
+    def test_negative_sigma_raises_and_draws_nothing(self, sigma):
+        jitter = LognormalJitter(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="sigma < 0"):
+            np.random.default_rng(3).lognormal(0.0, sigma)
+        with pytest.raises(ValueError, match="sigma < 0"):
+            jitter.draw(sigma)
+        assert jitter.draw(0.3) == float(
+            np.random.default_rng(3).lognormal(0.0, 0.3)
+        )

@@ -68,6 +68,19 @@ class TestScheduling:
             sim.call_in(float("nan"), lambda: None)
         assert sim.pending_events == 0
 
+    def test_nan_sleep_rejected(self):
+        """A process sleeping NaN seconds fails like ``call_in(nan)``: the
+        clamp before ``call_at`` must not turn NaN into 0."""
+        sim = Simulator()
+
+        def sleeper():
+            yield float("nan")
+
+        sim.spawn(sleeper())
+        with pytest.raises(ValueError, match="in the past"):
+            sim.run()
+        assert sim.pending_events == 0
+
 
 class TestProcesses:
     def test_sleep_advances_clock(self):

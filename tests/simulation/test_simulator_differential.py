@@ -10,6 +10,7 @@ reference's firing order and clock readings, every ``run()`` result,
 ``pending_events`` and every handle's ``cancelled``/``fired`` state.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +21,11 @@ SIGNALS = 3
 
 #: Absolute times for ``call_at`` (ties on purpose; the past is rejected).
 times = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0])
-#: Delays for ``call_in`` and process sleeps (ints are valid delays).
-delays = st.sampled_from([-1.0, -0.0, 0.0, 0.0, 0.5, 1, 1.0, 2.5])
+#: Delays for ``call_in`` and process sleeps (ints, bools and float
+#: subclasses are valid delays).
+delays = st.sampled_from(
+    [-1.0, -0.0, 0.0, 0.0, 0.5, 1, 1.0, 2.5, np.float64(0.5), True]
+)
 handle_index = st.integers(min_value=0, max_value=40)
 signal_index = st.integers(min_value=0, max_value=SIGNALS - 1)
 
