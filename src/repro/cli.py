@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.core import (
@@ -28,12 +29,25 @@ from repro.core import (
     serial_microbenchmark,
 )
 from repro.core.report import render_latency_series, render_scenario_table
-from repro.core.spec import Scenario
+from repro.core.spec import FEATURES, Scenario
 from repro.exec.backend import ExecTask, make_backend
 from repro.hardware.clouds import cloud_catalog
 from repro.hardware.instances import instance_by_name
 from repro.models import BENCHMARK_MODELS, HEALTHY_MODELS, MODEL_REGISTRY
 from repro.workload import SyntheticWorkloadGenerator, WorkloadStatistics
+
+
+#: The FEATURES rows by spec field.
+_FEATURES = {feature.field: feature for feature in FEATURES}
+
+
+def _add_feature_flags(parser, *fields: str) -> None:
+    """Register the flags of the FEATURES rows for ``fields``, in table order."""
+    for feature in FEATURES:
+        if feature.field in fields:
+            parser.add_argument(
+                feature.flag, dest=feature.field, **feature.flag_kwargs
+            )
 
 
 def _add_models_command(subparsers) -> None:
@@ -49,12 +63,10 @@ def _add_infra_command(subparsers) -> None:
     parser.add_argument("--duration", type=float, default=120.0)
     parser.add_argument("--seed", type=int, default=1234)
     _add_trace_flags(parser)
-    _add_resilience_flags(parser)
-    _add_overload_flags(parser, routing=False)
-    _add_cache_flag(parser)
-    _add_shards_flag(parser)
-    _add_retrieval_flag(parser)
-    _add_tenants_flag(parser)
+    _add_feature_flags(
+        parser, "retry", "chaos", "slo_deadline_s", "admission", "fallback",
+        "cache", "sharding", "retrieval", "tenants",
+    )
 
 
 def _add_micro_command(subparsers) -> None:
@@ -83,14 +95,7 @@ def _add_run_command(subparsers) -> None:
     parser.add_argument("--plot", action="store_true",
                         help="ASCII latency-vs-load chart (the Figure 4 view)")
     _add_trace_flags(parser)
-    _add_resilience_flags(parser)
-    _add_overload_flags(parser, routing=True)
-    _add_cache_flag(parser)
-    _add_shards_flag(parser)
-    _add_retrieval_flag(parser)
-    _add_scheduler_flag(parser)
-    _add_zones_flag(parser)
-    _add_tenants_flag(parser)
+    _add_feature_flags(parser, *_FEATURES)
     _add_backend_flag(parser)
 
 
@@ -107,7 +112,7 @@ def _add_drill_command(subparsers) -> None:
     parser.add_argument("--duration", type=float, default=90.0)
     parser.add_argument("--p90-limit", type=float, default=50.0)
     parser.add_argument("--seed", type=int, default=1234)
-    _add_shards_flag(parser)
+    _add_feature_flags(parser, "sharding")
     parser.add_argument(
         "--zones", type=int, default=2, metavar="N",
         help="failure domains to spread the fleet over (default 2)",
@@ -146,20 +151,26 @@ def _add_plan_command(subparsers) -> None:
     parser.add_argument("--p90-limit", type=float, default=50.0)
     parser.add_argument("--duration", type=float, default=90.0)
     parser.add_argument("--max-replicas", type=int, default=8)
-    _add_cache_flag(parser)
+    _add_feature_flags(parser, "cache")
     parser.add_argument(
         "--shards", default="1", metavar="COUNTS",
         help="comma-separated catalog-shard counts to evaluate per "
         "instance type, e.g. '1,4,8' (replica counts are then per shard)",
     )
-    _add_retrieval_flag(parser)
+    _add_feature_flags(parser, "retrieval")
     parser.add_argument(
         "--min-recall", type=float, default=0.95, metavar="FLOAT",
         help="recall@k floor for ANN candidates; IVF options whose "
         "measured recall falls below this are reported infeasible "
         "(default 0.95)",
     )
-    _add_scheduler_flag(parser, append=True)
+    scheduler = _FEATURES["scheduler"]
+    parser.add_argument(scheduler.flag, **{
+        **scheduler.flag_kwargs,
+        "action": "append",
+        "help": scheduler.flag_kwargs["help"]
+        + "; repeat to sweep CPU:GPU mix ratios",
+    })
     parser.add_argument(
         "--survive-zones", type=int, default=0, metavar="N",
         help="availability requirement: every admitted option must pass "
@@ -167,7 +178,7 @@ def _add_plan_command(subparsers) -> None:
         "deploy across N+1 failure domains and pay for the extra "
         "replicas; default 0 = single-domain planning)",
     )
-    _add_tenants_flag(parser)
+    _add_feature_flags(parser, "tenants")
     _add_backend_flag(parser)
 
 
@@ -235,65 +246,6 @@ def _add_trace_flags(parser) -> None:
     )
 
 
-def _add_resilience_flags(parser) -> None:
-    parser.add_argument(
-        "--retry", nargs="?", const="", default=None, metavar="SPEC",
-        help="client retries with backoff; optional SPEC like "
-        "'max=3,base=0.05,cap=1,mult=2,jitter=0.5,hedge=0.2' "
-        "(bare --retry uses the defaults)",
-    )
-    parser.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="fault-injection schedule: comma-separated kind@seconds events, "
-        "e.g. 'crash@60:restart=20,slow@90:factor=3:dur=30,"
-        "netdelay@30:add=0.005:dur=20' (times relative to load start)",
-    )
-
-
-def _add_overload_flags(parser, routing: bool) -> None:
-    parser.add_argument(
-        "--slo-deadline", type=float, default=None, metavar="SECONDS",
-        help="per-request latency SLO; requests are stamped with "
-        "sent_at + SECONDS so --admission can shed doomed work",
-    )
-    parser.add_argument(
-        "--admission", nargs="?", const="", default=None, metavar="SPEC",
-        help="deadline-aware admission control on the Actix server; SPEC "
-        "like 'codel,slack=0.01,target=0.005,interval=0.1,depth=64' "
-        "(disciplines: fifo, lifo, codel; bare --admission = FIFO defaults)",
-    )
-    parser.add_argument(
-        "--fallback", nargs="?", const="", default=None, metavar="SPEC",
-        help="graceful degradation: shed requests answer as fast degraded "
-        "200s from a popularity top-k tier; SPEC like 'budget=0.002,topk=21'",
-    )
-    if routing:
-        parser.add_argument(
-            "--routing", default=None, metavar="SPEC",
-            help="health-aware service routing; SPEC like "
-            "'lor,eject=3,cooldown=15,lag=2' "
-            "(disciplines: rr, lor; eject enables the circuit breaker)",
-        )
-
-
-def _add_cache_flag(parser) -> None:
-    parser.add_argument(
-        "--cache", nargs="?", const="", default=None, metavar="SPEC",
-        help="session-prefix result cache on the Actix server; SPEC like "
-        "'lfu,capacity=8192,window=4,ttl=30,remote=65536,rttl=300' "
-        "(policies: lru, lfu, segmented; bare --cache = LRU defaults)",
-    )
-
-
-def _add_shards_flag(parser) -> None:
-    parser.add_argument(
-        "--shards", default=None, metavar="SPEC",
-        help="catalog sharding with scatter-gather top-k; SPEC like "
-        "'4' or '4,partial=off' (replica counts are then per shard; "
-        "S=1 is the unsharded baseline)",
-    )
-
-
 def _add_backend_flag(parser) -> None:
     parser.add_argument(
         "--backend", default=None, metavar="SPEC",
@@ -303,40 +255,6 @@ def _add_backend_flag(parser) -> None:
         "worker per core); results are bit-identical either way. "
         "Overrides the ETUDE_BACKEND env var (docs/parallelism.md)",
     )
-
-
-def _add_zones_flag(parser) -> None:
-    parser.add_argument(
-        "--zones", type=int, default=None, metavar="N",
-        help="spread the fleet over N failure domains (anti-affine "
-        "replica placement, cross-zone network legs charged, zone@T "
-        "chaos meaningful; default 1 = the paper's single domain)",
-    )
-
-
-def _add_tenants_flag(parser) -> None:
-    parser.add_argument(
-        "--tenants", default=None, metavar="SPEC",
-        help="co-locate a multi-tenant model fleet on the deployment; "
-        "SPEC is ';'-separated name=model:weight segments with options "
-        "slo=MS, shadow, canary=FRAC, burst=F, rollout=T plus a fleet "
-        "fair=N segment, e.g. "
-        "'home=gru4rec:3,slo=60;search=narm:1,slo=120' "
-        "(default: single-model serving)",
-    )
-
-
-def _parse_tenants(args):
-    """TenancyConfig | None from the --tenants flag."""
-    from repro.tenancy.config import TenancyConfig
-
-    if getattr(args, "tenants", None) is None:
-        return None
-    try:
-        config = TenancyConfig.parse(args.tenants)
-    except ValueError as error:
-        raise SystemExit(str(error))
-    return config if config.enabled else None
 
 
 def _render_tenancy(tenancy: dict) -> str:
@@ -379,25 +297,18 @@ def _render_tenancy(tenancy: dict) -> str:
     return "\n".join(lines)
 
 
-def _add_retrieval_flag(parser) -> None:
-    parser.add_argument(
-        "--retrieval", nargs="?", const="ivf", default=None, metavar="SPEC",
-        help="ANN candidate retrieval instead of the exact catalog scan; "
-        "SPEC like 'ivf:nlist=1024,nprobe=32' or 'exact' "
-        "(bare --retrieval = IVF defaults; default is the exact scan)",
-    )
-
-
-def _parse_retrieval(args):
-    """RetrievalConfig | None from the --retrieval flag."""
-    from repro.ann.config import RetrievalConfig
-
-    if getattr(args, "retrieval", None) is None:
-        return None
-    try:
-        return RetrievalConfig.parse(args.retrieval)
-    except ValueError as error:
-        raise SystemExit(str(error))
+def _given_features(args) -> dict:
+    """Spec field -> raw value of every feature flag given on the command line."""
+    given = {}
+    for feature in FEATURES:
+        value = getattr(args, feature.field, None)
+        if value is not None:
+            given[feature.field] = value
+    if given.get("zones", 1) < 1:
+        raise SystemExit("--zones must be >= 1")
+    if given.get("slo_deadline_s", 1.0) <= 0:
+        raise SystemExit("--slo-deadline must be positive")
+    return given
 
 
 def _parse_backend(args):
@@ -406,49 +317,6 @@ def _parse_backend(args):
         return make_backend(getattr(args, "backend", None))
     except ValueError as error:
         raise SystemExit(str(error))
-
-
-def _add_scheduler_flag(parser, append: bool = False) -> None:
-    kwargs = dict(
-        nargs="?", const="", default=None, metavar="SPEC",
-        help="heterogeneous CPU/GPU scheduler: a CPU pod pool for "
-        "short-session/tight-slack requests beside the GPU batch path, "
-        "with online hill-climbed batching; SPEC like "
-        "'cpu=1,short=4,target=50' (bare --scheduler = one CPU pod, "
-        "tuner on; 'off' disables)",
-    )
-    if append:
-        kwargs["action"] = "append"
-        kwargs["help"] += "; repeat to sweep CPU:GPU mix ratios"
-    parser.add_argument("--scheduler", **kwargs)
-
-
-def _parse_scheduler(args):
-    """SchedulerConfig | None from the run command's --scheduler flag."""
-    from repro.scheduler import SchedulerConfig
-
-    if getattr(args, "scheduler", None) is None:
-        return None
-    try:
-        return SchedulerConfig.parse(args.scheduler)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def _parse_scheduler_options(args):
-    """Tuple of SchedulerConfig from the plan command's repeatable flag."""
-    from repro.scheduler import SchedulerConfig
-
-    specs = getattr(args, "scheduler", None) or []
-    options = []
-    for text in specs:
-        try:
-            config = SchedulerConfig.parse(text)
-        except ValueError as error:
-            raise SystemExit(str(error))
-        if config.enabled:
-            options.append(config)
-    return tuple(options)
 
 
 def _render_scheduler(scheduler: dict) -> str:
@@ -488,18 +356,6 @@ def _render_retrieval(retrieval: dict) -> str:
     )
 
 
-def _parse_sharding(args):
-    """ShardingConfig | None from the --shards flag."""
-    from repro.sharding.config import ShardingConfig
-
-    if getattr(args, "shards", None) is None:
-        return None
-    try:
-        return ShardingConfig.parse(args.shards)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
 def _render_sharding(sharding: dict) -> str:
     """The one-line sharding summary shared by run and infra-test."""
     partial = sharding.get("partial_responses", 0)
@@ -535,18 +391,6 @@ def _render_availability(availability: dict) -> str:
     )
 
 
-def _parse_cache(args):
-    """CacheConfig | None from the --cache flag."""
-    from repro.cache.tier import CacheConfig
-
-    if getattr(args, "cache", None) is None:
-        return None
-    try:
-        return CacheConfig.parse(args.cache)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
 def _render_cache(cache: dict) -> str:
     """The one-line cache summary shared by run and infra-test."""
     p90_hit = cache.get("p90_hit_ms")
@@ -563,36 +407,6 @@ def _render_cache(cache: dict) -> str:
         f"{cache['evictions']} evicted"
         + split
     )
-
-
-def _parse_overload(args):
-    """(slo_deadline_s, AdmissionPolicy?, RoutingPolicy?, FallbackConfig?)."""
-    from repro.cluster.routing import RoutingPolicy
-    from repro.serving.admission import AdmissionPolicy
-    from repro.serving.fallback import FallbackConfig
-
-    try:
-        slo_deadline = args.slo_deadline
-        if slo_deadline is not None and slo_deadline <= 0:
-            raise ValueError("--slo-deadline must be positive")
-        admission = (
-            AdmissionPolicy.parse(args.admission)
-            if args.admission is not None
-            else None
-        )
-        routing = (
-            RoutingPolicy.parse(args.routing)
-            if getattr(args, "routing", None) is not None
-            else None
-        )
-        fallback = (
-            FallbackConfig.parse(args.fallback)
-            if args.fallback is not None
-            else None
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
-    return slo_deadline, admission, routing, fallback
 
 
 def _render_overload(overload: dict) -> str:
@@ -617,23 +431,6 @@ def _render_overload(overload: dict) -> str:
         )
         + ")"
     )
-
-
-def _parse_resilience(args):
-    """(RetryPolicy | None, ChaosSchedule | None) from the CLI flags."""
-    from repro.cluster.chaos import ChaosSchedule
-    from repro.loadgen.retry import RetryPolicy
-
-    try:
-        retry = (
-            RetryPolicy.parse(args.retry) if args.retry is not None else None
-        )
-        chaos = (
-            ChaosSchedule.parse(args.chaos) if args.chaos is not None else None
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
-    return retry, chaos
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -716,24 +513,27 @@ def _cmd_infra(args, out) -> int:
     telemetry = _make_telemetry(args)
     if telemetry is not None and args.server != "actix":
         out.write("note: --trace instruments only the actix server\n")
-    retry, chaos = _parse_resilience(args)
-    if chaos is not None and args.server != "actix":
-        raise SystemExit("--chaos needs the actix server's fault hooks")
-    slo_deadline, admission, _routing, fallback = _parse_overload(args)
-    if (admission is not None or fallback is not None) and args.server != "actix":
-        raise SystemExit("--admission/--fallback are actix-server features")
-    cache = _parse_cache(args)
-    if cache is not None and args.server != "actix":
-        raise SystemExit("--cache is an actix-server feature")
-    sharding = _parse_sharding(args)
-    if sharding is not None and sharding.enabled and args.server != "actix":
-        raise SystemExit("--shards is an actix-server feature")
-    retrieval = _parse_retrieval(args)
-    if retrieval is not None and retrieval.enabled and args.server != "actix":
-        raise SystemExit("--retrieval is an actix-server feature")
-    tenants = _parse_tenants(args)
-    if tenants is not None and args.server != "actix":
-        raise SystemExit("--tenants is an actix-server feature")
+    try:
+        features = {
+            field: _FEATURES[field].parse(value)
+            for field, value in _given_features(args).items()
+        }
+    except ValueError as error:
+        raise SystemExit(str(error))
+    if args.server != "actix":
+        if "chaos" in features:
+            raise SystemExit("--chaos needs the actix server's fault hooks")
+        if "admission" in features or "fallback" in features:
+            raise SystemExit("--admission/--fallback are actix-server features")
+        if "cache" in features:
+            raise SystemExit("--cache is an actix-server feature")
+        if "sharding" in features and features["sharding"].enabled:
+            raise SystemExit("--shards is an actix-server feature")
+        if "retrieval" in features and features["retrieval"].enabled:
+            raise SystemExit("--retrieval is an actix-server feature")
+        if "tenants" in features and features["tenants"].enabled:
+            raise SystemExit("--tenants is an actix-server feature")
+    retry = features.pop("retry", None)
     result = run_infra_test(
         args.server,
         target_rps=args.rps,
@@ -741,14 +541,7 @@ def _cmd_infra(args, out) -> int:
         seed=args.seed,
         telemetry=telemetry,
         retry_policy=retry,
-        chaos=chaos,
-        slo_deadline_s=slo_deadline,
-        admission=admission,
-        fallback=fallback,
-        cache=cache,
-        sharding=sharding,
-        retrieval=retrieval,
-        tenants=tenants,
+        **features,
     )
     out.write(render_latency_series(result.series, args.server, every=20) + "\n")
     out.write(
@@ -756,7 +549,7 @@ def _cmd_infra(args, out) -> int:
         f"{result.errors} errors ({result.error_rate * 100:.1f}%), "
         f"p90={result.p90_ms:.2f} ms\n"
     )
-    if retry is not None or chaos is not None:
+    if retry is not None or "chaos" in features:
         out.write(
             f"  resilience: {result.retries} retries, {result.hedges} hedges, "
             f"{len(result.chaos_events)} chaos events\n"
@@ -796,110 +589,46 @@ def _cmd_micro(args, out) -> int:
 
 def _cmd_run(args, out) -> int:
     runner = ExperimentRunner()
-    retry, chaos = _parse_resilience(args)
-    slo_deadline, admission, routing, fallback = _parse_overload(args)
-    cache = _parse_cache(args)
-    sharding = _parse_sharding(args)
-    retrieval = _parse_retrieval(args)
-    scheduler = _parse_scheduler(args)
-    tenants = _parse_tenants(args)
-    zones = args.zones
-    if zones is not None and zones < 1:
-        raise SystemExit("--zones must be >= 1")
-    if args.spec:
-        from dataclasses import replace
+    given = _given_features(args)
+    try:
+        if args.spec:
+            from repro.core.specfile import load_spec_file
 
-        from repro.core.specfile import load_spec_file
-
-        jobs = load_spec_file(args.spec)
-        overrides_on = any(
-            value is not None
-            for value in (
-                retry, chaos, slo_deadline, admission, routing, fallback,
-                cache, sharding, retrieval, scheduler, zones, tenants,
-            )
-        )
-        if overrides_on:
-            # CLI flags override the spec file's settings.
+            try:
+                loaded = load_spec_file(args.spec)
+            except OSError as error:
+                raise SystemExit(f"cannot read --spec {args.spec!r}: {error}")
+            # Flags given on the command line override the file's settings.
+            jobs = [(replace(spec, **given), slo) for spec, slo in loaded]
+        else:
+            model = args.model
+            if model is None and "tenants" in given:
+                # A fleet names its own models; the anchor defaults to the
+                # first primary tenant's.
+                fleet = _FEATURES["tenants"].parse(given["tenants"])
+                if fleet.enabled:
+                    model = fleet.primaries[0].model
+            for required, value in (
+                ("model", model), ("catalog", args.catalog), ("rps", args.rps),
+            ):
+                if value is None:
+                    raise SystemExit(f"--{required} is required without --spec")
             jobs = [
                 (
-                    replace(
-                        spec,
-                        retry=retry if retry is not None else spec.retry,
-                        chaos=chaos if chaos is not None else spec.chaos,
-                        slo_deadline_s=(
-                            slo_deadline
-                            if slo_deadline is not None
-                            else spec.slo_deadline_s
-                        ),
-                        admission=(
-                            admission if admission is not None else spec.admission
-                        ),
-                        routing=routing if routing is not None else spec.routing,
-                        fallback=(
-                            fallback if fallback is not None else spec.fallback
-                        ),
-                        cache=cache if cache is not None else spec.cache,
-                        sharding=(
-                            sharding if sharding is not None else spec.sharding
-                        ),
-                        retrieval=(
-                            retrieval
-                            if retrieval is not None
-                            else spec.retrieval
-                        ),
-                        scheduler=(
-                            scheduler
-                            if scheduler is not None
-                            else spec.scheduler
-                        ),
-                        zones=zones if zones is not None else spec.zones,
-                        tenants=(
-                            tenants if tenants is not None else spec.tenants
-                        ),
+                    ExperimentSpec(
+                        model=model,
+                        catalog_size=args.catalog,
+                        target_rps=args.rps,
+                        hardware=HardwareSpec(args.instance, args.replicas),
+                        duration_s=args.duration,
+                        execution=args.execution,
+                        **given,
                     ),
-                    slo,
+                    SLO(p90_latency_ms=args.p90_limit),
                 )
-                for spec, slo in jobs
             ]
-    else:
-        model = args.model
-        if model is None and tenants is not None:
-            # A fleet names its own models; the anchor defaults to the
-            # first primary tenant's.
-            model = tenants.primaries[0].model
-        for required, value in (
-            ("model", model), ("catalog", args.catalog), ("rps", args.rps),
-        ):
-            if value is None:
-                raise SystemExit(f"--{required} is required without --spec")
-        from repro.core.spec import SLO
-
-        jobs = [
-            (
-                ExperimentSpec(
-                    model=model,
-                    catalog_size=args.catalog,
-                    target_rps=args.rps,
-                    hardware=HardwareSpec(args.instance, args.replicas),
-                    duration_s=args.duration,
-                    execution=args.execution,
-                    retry=retry,
-                    chaos=chaos,
-                    slo_deadline_s=slo_deadline,
-                    admission=admission,
-                    routing=routing,
-                    fallback=fallback,
-                    cache=cache,
-                    sharding=sharding,
-                    retrieval=retrieval,
-                    scheduler=scheduler,
-                    zones=zones if zones is not None else 1,
-                    tenants=tenants,
-                ),
-                SLO(p90_latency_ms=args.p90_limit),
-            )
-        ]
+    except ValueError as error:
+        raise SystemExit(str(error))
 
     # Independent jobs of a multi-job spec file can fan out to the
     # execution backend; results come back in job order so the rendered
@@ -1024,7 +753,7 @@ def _cmd_drill(args, out) -> int:
             target_rps=args.rps,
             hardware=HardwareSpec(args.instance, args.replicas),
             duration_s=args.duration,
-            sharding=_parse_sharding(args),
+            sharding=args.sharding,
             routing=args.routing,
             zones=args.zones,
             seed=args.seed,
@@ -1068,8 +797,18 @@ def _cmd_drill(args, out) -> int:
 
 
 def _cmd_plan(args, out) -> int:
-    tenants = _parse_tenants(args)
-    if tenants is not None:
+    try:
+        cache, retrieval, tenants = (
+            None if getattr(args, field) is None
+            else _FEATURES[field].parse(getattr(args, field))
+            for field in ("cache", "retrieval", "tenants")
+        )
+        schedulers = [
+            _FEATURES["scheduler"].parse(text) for text in args.scheduler or ()
+        ]
+    except ValueError as error:
+        raise SystemExit(str(error))
+    if tenants is not None and tenants.enabled:
         # Bin-packing dimension: cheapest co-located fleet vs. the
         # standalone per-tenant baseline (docs/tenancy.md).
         from repro.core.report import render_fleet_plan
@@ -1101,7 +840,6 @@ def _cmd_plan(args, out) -> int:
         )
     except ValueError:
         raise SystemExit(f"--shards must be comma-separated ints: {args.shards!r}")
-    retrieval = _parse_retrieval(args)
     retrieval_options = (
         (None,)
         if retrieval is None or not retrieval.enabled
@@ -1114,11 +852,11 @@ def _cmd_plan(args, out) -> int:
         slo=SLO(p90_latency_ms=args.p90_limit),
         duration_s=args.duration,
         max_replicas=args.max_replicas,
-        cache=_parse_cache(args),
+        cache=cache,
         shard_counts=shard_counts or (1,),
         retrieval_options=retrieval_options,
         min_recall=args.min_recall,
-        scheduler_options=(None,) + _parse_scheduler_options(args),
+        scheduler_options=(None,) + tuple(c for c in schedulers if c.enabled),
         survive_zones=args.survive_zones,
         backend=_parse_backend(args),
     )

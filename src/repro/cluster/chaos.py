@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.grammar import format_value
 from repro.simulation import Simulator
 
 if TYPE_CHECKING:
@@ -51,20 +52,6 @@ def _parse_optional_s(value: str) -> Optional[float]:
 
 def _parse_optional_index(value: str) -> Optional[int]:
     return None if value.lower() == "none" else int(value)
-
-
-def _format_option(value) -> str:
-    """Render one option value for :meth:`ChaosSchedule.spec_string`.
-
-    Numbers go through ``'g'`` formatting (``20.0`` -> ``20``); strings —
-    e.g. a :class:`ZoneOutage` zone name — are emitted verbatim so they
-    survive the round trip instead of raising in ``format(value, 'g')``.
-    """
-    if value is None:
-        return "none"
-    if isinstance(value, str):
-        return value
-    return format(value, "g")
 
 
 @dataclass(frozen=True)
@@ -354,14 +341,14 @@ class ChaosSchedule:
         for event in self.events:
             _, keys = _EVENT_KINDS[event.kind]
             options = "".join(
-                f":{key}={_format_option(value)}"
+                f":{key}={'none' if value is None else format_value(value)}"
                 for key, (name, _) in keys.items()
                 for value in (getattr(event, name),)
                 # shard=None means "not shard-scoped" — omitted so that
                 # pre-sharding schedules round-trip to the same string.
                 if not (key == "shard" and value is None)
             )
-            parts.append(f"{event.kind}@{event.at_s:g}{options}")
+            parts.append(f"{event.kind}@{format_value(event.at_s)}{options}")
         return ",".join(parts)
 
 

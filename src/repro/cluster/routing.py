@@ -32,7 +32,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.grammar import format_options, parse_options
+
 DISCIPLINES = ("rr", "lor")
+
+#: spec key -> (field, cast) for :meth:`RoutingPolicy.parse`.
+_KEYS = {
+    "eject": ("eject_after", int),
+    "cooldown": ("cooldown_s", float),
+    "lag": ("endpoint_lag_s", float),
+}
+
+
+def _discipline(token: str) -> dict:
+    if token not in DISCIPLINES:
+        raise ValueError(
+            f"unknown routing discipline {token!r}; known: {list(DISCIPLINES)}"
+        )
+    return {"discipline": token}
 
 
 def partition_by_shard(pods: Sequence) -> Dict[int, List]:
@@ -84,41 +101,11 @@ class RoutingPolicy:
         ``"lor,eject=3,cooldown=15,lag=2"``. Empty string = plain
         round-robin.
         """
-        kwargs: dict = {}
-        keys = {
-            "eject": ("eject_after", int),
-            "cooldown": ("cooldown_s", float),
-            "lag": ("endpoint_lag_s", float),
-        }
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                if part not in DISCIPLINES:
-                    raise ValueError(
-                        f"unknown routing discipline {part!r}; "
-                        f"known: {list(DISCIPLINES)}"
-                    )
-                kwargs["discipline"] = part
-                continue
-            key, _, value = part.partition("=")
-            if key not in keys:
-                raise ValueError(
-                    f"unknown routing spec key {key!r}; known: {sorted(keys)}"
-                )
-            name, cast = keys[key]
-            kwargs[name] = cast(value)
-        return cls(**kwargs)
+        return cls(**parse_options(text, "routing", _KEYS, _discipline))
 
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""
-        default = RoutingPolicy()
-        parts = [self.discipline]
-        if self.eject_after is not None:
-            parts.append(f"eject={self.eject_after}")
-        if self.cooldown_s != default.cooldown_s:
-            parts.append(f"cooldown={self.cooldown_s:g}")
-        if self.endpoint_lag_s != default.endpoint_lag_s:
-            parts.append(f"lag={self.endpoint_lag_s:g}")
-        return ",".join(parts)
+        return format_options(self, _KEYS, head="discipline", skip_defaults=True)
 
     def describe(self) -> str:
         name = (

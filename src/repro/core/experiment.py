@@ -98,13 +98,9 @@ class ExperimentRunner:
         """
         instance = instance_by_name(spec.hardware.instance_type)
         # ANN retrieval swaps the scoring head behind the same assets
-        # pipeline; None (or an "exact" config) leaves every asset exactly
-        # the config-less one — the bit-identity contract.
-        retrieval = (
-            spec.retrieval
-            if spec.retrieval is not None and spec.retrieval.enabled
-            else None
-        )
+        # pipeline; None (the spec stores "exact" as None) leaves every
+        # asset exactly the config-less one — the bit-identity contract.
+        retrieval = spec.retrieval
         assets = self.registry.assets(
             spec.model,
             spec.catalog_size,
@@ -154,13 +150,10 @@ class ExperimentRunner:
 
         # Catalog sharding: each pod hosts one catalog slice, so the
         # deployed profile / footprint / score traffic shrink to the
-        # largest shard's share. Disabled (None or S=1) leaves every
-        # value exactly the full-catalog one — the bit-identity contract.
-        sharding = (
-            spec.sharding
-            if spec.sharding is not None and spec.sharding.enabled
-            else None
-        )
+        # largest shard's share. Disabled (None; the spec stores S=1 as
+        # None) leaves every value exactly the full-catalog one — the
+        # bit-identity contract.
+        sharding = spec.sharding
         service_profile = assets.profile
         resident_bytes = assets.resident_bytes
         score_bytes = assets.score_bytes_per_item
@@ -204,13 +197,10 @@ class ExperimentRunner:
             )
 
         # Heterogeneous scheduler: a CPU pod pool beside the (GPU) primary
-        # fleet plus self-tuning batching. Disabled (None or "off") leaves
-        # the deployment call byte-for-byte the single-class one.
-        scheduler = (
-            spec.scheduler
-            if spec.scheduler is not None and spec.scheduler.enabled
-            else None
-        )
+        # fleet plus self-tuning batching. Disabled (None; the spec stores
+        # "off" as None) leaves the deployment call byte-for-byte the
+        # single-class one.
+        scheduler = spec.scheduler
         auxiliary = None
         batching = BatchingConfig()
         if scheduler is not None:
@@ -555,7 +545,7 @@ class ExperimentRunner:
                 "p90_full_ms": collector.percentile_full_ms(90),
                 "p90_degraded_ms": collector.percentile_degraded_ms(90),
             }
-        if spec.cache is not None and spec.cache.enabled:
+        if spec.cache is not None:
             deployment = state.get("deployment")
             tallies = {
                 "hits_local": 0, "hits_remote": 0, "misses": 0,
@@ -585,7 +575,7 @@ class ExperimentRunner:
                 "p90_hit_ms": collector.percentile_hit_ms(90),
                 "p90_miss_ms": collector.percentile_miss_ms(90),
             }
-        if spec.sharding is not None and spec.sharding.enabled:
+        if spec.sharding is not None:
             service = state.get("service")
             aggregator = service.aggregator if service is not None else None
             result.sharding = {
@@ -597,11 +587,11 @@ class ExperimentRunner:
                     else {"shards": spec.sharding.shards}
                 ),
             }
-        if spec.scheduler is not None and spec.scheduler.enabled:
+        if spec.scheduler is not None:
             runtime = state.get("scheduler")
             if runtime is not None:
                 result.scheduler = runtime.summary()
-        if spec.retrieval is not None and spec.retrieval.enabled:
+        if spec.retrieval is not None:
             info = dict(state.get("retrieval") or {})
             deployment = state.get("deployment")
             ann_queries = ann_probed = 0

@@ -4,12 +4,16 @@ A data scientist describes *what* to evaluate (model, catalog statistics,
 hardware, constraints); ETUDE takes care of deployment, load generation and
 measurement. These dataclasses are that declarative surface, including the
 five end-to-end use-case scenarios of Table I.
+
+:data:`FEATURES` lists the spec's optional dimensions once; the spec's own
+coercion, the spec-file format (``specfile.py``) and the command-line flags
+(``cli.py``) are all derived from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Mapping, Optional, Tuple, Union
 
 from repro.ann.config import RetrievalConfig
 from repro.cache.tier import CacheConfig
@@ -123,38 +127,20 @@ class ExperimentSpec:
             raise ValueError("execution must be 'jit', 'eager' or 'onnx'")
         if self.catalog_size < 1 or self.target_rps < 1:
             raise ValueError("catalog_size and target_rps must be positive")
+        if isinstance(self.sharding, int) and not isinstance(self.sharding, bool):
+            object.__setattr__(self, "sharding", ShardingConfig(shards=self.sharding))
+        for feature in FEATURES:
+            value = getattr(self, feature.field)
+            if isinstance(value, str):
+                value = feature.parse(value)
+            if not getattr(value, "enabled", True):
+                # A config's off state is stored as no config at all.
+                value = None
+            object.__setattr__(self, feature.field, value)
         if self.zones < 1:
             raise ValueError("zones must be >= 1")
-        if isinstance(self.retry, str):
-            object.__setattr__(self, "retry", RetryPolicy.parse(self.retry))
-        if isinstance(self.chaos, str):
-            object.__setattr__(self, "chaos", ChaosSchedule.parse(self.chaos))
         if self.slo_deadline_s is not None and self.slo_deadline_s <= 0:
             raise ValueError("slo_deadline_s must be positive")
-        if isinstance(self.admission, str):
-            object.__setattr__(self, "admission", AdmissionPolicy.parse(self.admission))
-        if isinstance(self.routing, str):
-            object.__setattr__(self, "routing", RoutingPolicy.parse(self.routing))
-        if isinstance(self.fallback, str):
-            object.__setattr__(self, "fallback", FallbackConfig.parse(self.fallback))
-        if isinstance(self.cache, str):
-            object.__setattr__(self, "cache", CacheConfig.parse(self.cache))
-        if isinstance(self.sharding, str):
-            object.__setattr__(self, "sharding", ShardingConfig.parse(self.sharding))
-        elif isinstance(self.sharding, int) and not isinstance(self.sharding, bool):
-            object.__setattr__(self, "sharding", ShardingConfig(shards=self.sharding))
-        if isinstance(self.retrieval, str):
-            object.__setattr__(self, "retrieval", RetrievalConfig.parse(self.retrieval))
-        if isinstance(self.scheduler, str):
-            object.__setattr__(self, "scheduler", SchedulerConfig.parse(self.scheduler))
-        if isinstance(self.tenants, str):
-            object.__setattr__(self, "tenants", TenancyConfig.parse(self.tenants))
-        if (
-            isinstance(self.tenants, TenancyConfig)
-            and not self.tenants.enabled
-        ):
-            # An empty fleet is the contractual off state.
-            object.__setattr__(self, "tenants", None)
 
     def workload_statistics(self) -> WorkloadStatistics:
         """The provided statistics, or the bol.com-like defaults."""
@@ -166,6 +152,103 @@ class ExperimentSpec:
         return replace(
             self, hardware=HardwareSpec(instance_type=instance_type, replicas=replicas)
         )
+
+
+@dataclass(frozen=True)
+class Feature:
+    """One optional :class:`ExperimentSpec` dimension and how text names it."""
+
+    #: The :class:`ExperimentSpec` field.
+    field: str
+    #: The spec-file key.
+    key: str
+    #: The command-line flag.
+    flag: str
+    #: Text -> value: the config class's ``parse`` (``int``/``float`` for
+    #: the two plain numbers).
+    parse: Callable[[str], Any]
+    #: The flag's ``argparse`` keyword arguments.
+    flag_kwargs: Mapping[str, Any]
+
+
+#: Every optional dimension, in the order the ``run`` command lists its flags.
+FEATURES: Tuple[Feature, ...] = (
+    Feature("retry", "retry", "--retry", RetryPolicy.parse, dict(
+        nargs="?", const="", default=None, metavar="SPEC",
+        help="client retries with backoff; optional SPEC like "
+        "'max=3,base=0.05,cap=1,mult=2,jitter=0.5,hedge=0.2' "
+        "(bare --retry uses the defaults)",
+    )),
+    Feature("chaos", "chaos", "--chaos", ChaosSchedule.parse, dict(
+        default=None, metavar="SPEC",
+        help="fault-injection schedule: comma-separated kind@seconds events, "
+        "e.g. 'crash@60:restart=20,slow@90:factor=3:dur=30,"
+        "netdelay@30:add=0.005:dur=20' (times relative to load start)",
+    )),
+    Feature("slo_deadline_s", "slo_deadline_s", "--slo-deadline", float, dict(
+        type=float, default=None, metavar="SECONDS",
+        help="per-request latency SLO; requests are stamped with "
+        "sent_at + SECONDS so --admission can shed doomed work",
+    )),
+    Feature("admission", "admission", "--admission", AdmissionPolicy.parse, dict(
+        nargs="?", const="", default=None, metavar="SPEC",
+        help="deadline-aware admission control on the Actix server; SPEC "
+        "like 'codel,slack=0.01,target=0.005,interval=0.1,depth=64' "
+        "(disciplines: fifo, lifo, codel; bare --admission = FIFO defaults)",
+    )),
+    Feature("fallback", "fallback", "--fallback", FallbackConfig.parse, dict(
+        nargs="?", const="", default=None, metavar="SPEC",
+        help="graceful degradation: shed requests answer as fast degraded "
+        "200s from a popularity top-k tier; SPEC like 'budget=0.002,topk=21'",
+    )),
+    Feature("routing", "routing", "--routing", RoutingPolicy.parse, dict(
+        default=None, metavar="SPEC",
+        help="health-aware service routing; SPEC like "
+        "'lor,eject=3,cooldown=15,lag=2' "
+        "(disciplines: rr, lor; eject enables the circuit breaker)",
+    )),
+    Feature("cache", "cache", "--cache", CacheConfig.parse, dict(
+        nargs="?", const="", default=None, metavar="SPEC",
+        help="session-prefix result cache on the Actix server; SPEC like "
+        "'lfu,capacity=8192,window=4,ttl=30,remote=65536,rttl=300' "
+        "(policies: lru, lfu, segmented; bare --cache = LRU defaults)",
+    )),
+    Feature("sharding", "shards", "--shards", ShardingConfig.parse, dict(
+        default=None, metavar="SPEC",
+        help="catalog sharding with scatter-gather top-k; SPEC like "
+        "'4' or '4,partial=off' (replica counts are then per shard; "
+        "S=1 is the unsharded baseline)",
+    )),
+    Feature("retrieval", "retrieval", "--retrieval", RetrievalConfig.parse, dict(
+        nargs="?", const="ivf", default=None, metavar="SPEC",
+        help="ANN candidate retrieval instead of the exact catalog scan; "
+        "SPEC like 'ivf:nlist=1024,nprobe=32' or 'exact' "
+        "(bare --retrieval = IVF defaults; default is the exact scan)",
+    )),
+    Feature("scheduler", "scheduler", "--scheduler", SchedulerConfig.parse, dict(
+        nargs="?", const="", default=None, metavar="SPEC",
+        help="heterogeneous CPU/GPU scheduler: a CPU pod pool for "
+        "short-session/tight-slack requests beside the GPU batch path, "
+        "with online hill-climbed batching; SPEC like "
+        "'cpu=1,short=4,target=50' (bare --scheduler = one CPU pod, "
+        "tuner on; 'off' disables)",
+    )),
+    Feature("zones", "zones", "--zones", int, dict(
+        type=int, default=None, metavar="N",
+        help="spread the fleet over N failure domains (anti-affine "
+        "replica placement, cross-zone network legs charged, zone@T "
+        "chaos meaningful; default 1 = the paper's single domain)",
+    )),
+    Feature("tenants", "tenants", "--tenants", TenancyConfig.parse, dict(
+        default=None, metavar="SPEC",
+        help="co-locate a multi-tenant model fleet on the deployment; "
+        "SPEC is ';'-separated name=model:weight segments with options "
+        "slo=MS, shadow, canary=FRAC, burst=F, rollout=T plus a fleet "
+        "fair=N segment, e.g. "
+        "'home=gru4rec:3,slo=60;search=narm:1,slo=120' "
+        "(default: single-model serving)",
+    )),
+)
 
 
 @dataclass(frozen=True)

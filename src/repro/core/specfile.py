@@ -24,10 +24,10 @@ Example (``experiment.json``)::
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Any, Dict, List, Tuple, Union
 
-from repro.core.spec import SLO, ExperimentSpec, HardwareSpec
+from repro.core.spec import FEATURES, SLO, ExperimentSpec, HardwareSpec
 from repro.workload.statistics import WorkloadStatistics
 
 _KNOWN_KEYS = {
@@ -41,19 +41,10 @@ _KNOWN_KEYS = {
     "workload",
     "seed",
     "slo",
-    "retry",
-    "chaos",
-    "slo_deadline_s",
-    "admission",
-    "routing",
-    "fallback",
-    "cache",
-    "shards",
-    "retrieval",
-    "scheduler",
-    "zones",
-    "tenants",
-}
+} | {feature.key for feature in FEATURES}
+
+#: A dimension at its field default is left out of a written document.
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentSpec)}
 
 
 def spec_from_dict(raw: Dict[str, Any]) -> Tuple[ExperimentSpec, SLO]:
@@ -90,6 +81,17 @@ def spec_from_dict(raw: Dict[str, Any]) -> Tuple[ExperimentSpec, SLO]:
         max_error_rate=float(slo_raw.get("max_error_rate", 0.01)),
     )
 
+    # Spec strings are parsed by ExperimentSpec itself; the two plain
+    # numbers keep their int/float coercion.
+    features = {
+        feature.field: (
+            feature.parse(raw[feature.key])
+            if feature.parse in (int, float)
+            else raw[feature.key]
+        )
+        for feature in FEATURES
+        if feature.key in raw
+    }
     spec = ExperimentSpec(
         model=raw["model"],
         catalog_size=int(raw["catalog_size"]),
@@ -100,20 +102,7 @@ def spec_from_dict(raw: Dict[str, Any]) -> Tuple[ExperimentSpec, SLO]:
         top_k=int(raw.get("top_k", 21)),
         workload=workload,
         seed=int(raw.get("seed", 1234)),
-        retry=raw.get("retry"),
-        chaos=raw.get("chaos"),
-        slo_deadline_s=(
-            float(raw["slo_deadline_s"]) if "slo_deadline_s" in raw else None
-        ),
-        admission=raw.get("admission"),
-        routing=raw.get("routing"),
-        fallback=raw.get("fallback"),
-        cache=raw.get("cache"),
-        sharding=raw.get("shards"),
-        retrieval=raw.get("retrieval"),
-        scheduler=raw.get("scheduler"),
-        zones=int(raw.get("zones", 1)),
-        tenants=raw.get("tenants"),
+        **features,
     )
     return spec, slo
 
@@ -145,30 +134,12 @@ def spec_to_dict(spec: ExperimentSpec, slo: SLO = SLO()) -> Dict[str, Any]:
         "seed": spec.seed,
         "slo": asdict(slo),
     }
-    if spec.retry is not None:
-        document["retry"] = spec.retry.spec_string()
-    if spec.chaos is not None:
-        document["chaos"] = spec.chaos.spec_string()
-    if spec.slo_deadline_s is not None:
-        document["slo_deadline_s"] = spec.slo_deadline_s
-    if spec.admission is not None:
-        document["admission"] = spec.admission.spec_string()
-    if spec.routing is not None:
-        document["routing"] = spec.routing.spec_string()
-    if spec.fallback is not None:
-        document["fallback"] = spec.fallback.spec_string()
-    if spec.cache is not None:
-        document["cache"] = spec.cache.spec_string()
-    if spec.sharding is not None:
-        document["shards"] = spec.sharding.spec_string()
-    if spec.retrieval is not None:
-        document["retrieval"] = spec.retrieval.spec_string()
-    if spec.scheduler is not None:
-        document["scheduler"] = spec.scheduler.spec_string()
-    if spec.zones != 1:
-        document["zones"] = spec.zones
-    if spec.tenants is not None:
-        document["tenants"] = spec.tenants.spec_string()
+    for feature in FEATURES:
+        value = getattr(spec, feature.field)
+        if value != _DEFAULTS[feature.field]:
+            document[feature.key] = (
+                value if feature.parse in (int, float) else value.spec_string()
+            )
     if spec.workload is not None:
         document["workload"] = {
             "catalog_size": spec.workload.catalog_size,

@@ -26,7 +26,18 @@ from typing import FrozenSet, Optional
 
 import numpy as np
 
+from repro.grammar import format_options, parse_options
 from repro.serving.request import HTTP_SERVICE_UNAVAILABLE
+
+#: spec key -> (field, cast) for :meth:`RetryPolicy.parse`.
+_KEYS = {
+    "max": ("max_retries", int),
+    "base": ("base_backoff_s", float),
+    "cap": ("max_backoff_s", float),
+    "mult": ("multiplier", float),
+    "jitter": ("jitter", float),
+    "hedge": ("hedge_after_s", float),
+}
 
 
 @dataclass(frozen=True)
@@ -92,41 +103,11 @@ class RetryPolicy:
         key optional, empty string = all defaults. ``hedge`` enables hedged
         requests after that many seconds.
         """
-        kwargs: dict = {}
-        keys = {
-            "max": ("max_retries", int),
-            "base": ("base_backoff_s", float),
-            "cap": ("max_backoff_s", float),
-            "mult": ("multiplier", float),
-            "jitter": ("jitter", float),
-            "hedge": ("hedge_after_s", float),
-        }
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                raise ValueError(
-                    f"bad retry spec item {part!r}; expected key=value"
-                )
-            key, _, value = part.partition("=")
-            if key not in keys:
-                raise ValueError(
-                    f"unknown retry spec key {key!r}; known: {sorted(keys)}"
-                )
-            name, cast = keys[key]
-            kwargs[name] = cast(value)
-        return cls(**kwargs)
+        return cls(**parse_options(text, "retry", _KEYS))
 
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""
-        parts = [
-            f"max={self.max_retries}",
-            f"base={self.base_backoff_s:g}",
-            f"cap={self.max_backoff_s:g}",
-            f"mult={self.multiplier:g}",
-            f"jitter={self.jitter:g}",
-        ]
-        if self.hedge_after_s is not None:
-            parts.append(f"hedge={self.hedge_after_s:g}")
-        return ",".join(parts)
+        return format_options(self, _KEYS)
 
     def describe(self) -> str:
         hedge = (

@@ -3,7 +3,6 @@
 from repro.metrics.percentile import LatencyDigest, exact_percentile
 from repro.metrics.collector import MetricsCollector, SecondBucket
 from repro.metrics.results import LatencySeries, RunResult
-from repro.metrics.store import ResultStore
 
 __all__ = [
     "LatencyDigest",
@@ -12,5 +11,4 @@ __all__ = [
     "SecondBucket",
     "LatencySeries",
     "RunResult",
-    "ResultStore",
 ]

@@ -45,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.grammar import format_value
+
 #: key -> (attribute, converter) for the ``key=value`` grammar.
 _KEYS = {
     "cpu": ("cpu_replicas", int),
@@ -162,10 +164,8 @@ class SchedulerConfig:
                 continue
             if key == "tune":
                 parts.append(f"tune={'on' if value else 'off'}")
-            elif isinstance(value, float):
-                parts.append(f"{key}={value:g}")
             else:
-                parts.append(f"{key}={value}")
+                parts.append(f"{key}={format_value(value)}")
         return ",".join(parts) if parts else "cpu=1"
 
     def describe(self) -> str:

@@ -45,7 +45,25 @@ import math
 from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
+from repro.grammar import format_options, parse_options
+
 DISCIPLINES = ("fifo", "lifo", "codel")
+
+#: spec key -> (field, cast) for :meth:`AdmissionPolicy.parse`.
+_KEYS = {
+    "slack": ("slack_s", float),
+    "depth": ("lifo_threshold", int),
+    "target": ("codel_target_s", float),
+    "interval": ("codel_interval_s", float),
+}
+
+
+def _discipline(token: str) -> dict:
+    if token not in DISCIPLINES:
+        raise ValueError(
+            f"unknown admission discipline {token!r}; known: {list(DISCIPLINES)}"
+        )
+    return {"discipline": token}
 
 
 class CoDelState:
@@ -143,45 +161,11 @@ class AdmissionPolicy:
         ``key=value`` options, e.g. ``"codel,target=0.005,interval=0.1"``
         or ``"lifo,depth=128,slack=0.01"``. Empty string = FIFO defaults.
         """
-        kwargs: dict = {}
-        keys = {
-            "slack": ("slack_s", float),
-            "depth": ("lifo_threshold", int),
-            "target": ("codel_target_s", float),
-            "interval": ("codel_interval_s", float),
-        }
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                if part not in DISCIPLINES:
-                    raise ValueError(
-                        f"unknown admission discipline {part!r}; "
-                        f"known: {list(DISCIPLINES)}"
-                    )
-                kwargs["discipline"] = part
-                continue
-            key, _, value = part.partition("=")
-            if key not in keys:
-                raise ValueError(
-                    f"unknown admission spec key {key!r}; known: {sorted(keys)}"
-                )
-            name, cast = keys[key]
-            kwargs[name] = cast(value)
-        return cls(**kwargs)
+        return cls(**parse_options(text, "admission", _KEYS, _discipline))
 
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""
-        default = AdmissionPolicy()
-        parts = [self.discipline]
-        for key, name in (
-            ("slack", "slack_s"),
-            ("depth", "lifo_threshold"),
-            ("target", "codel_target_s"),
-            ("interval", "codel_interval_s"),
-        ):
-            value = getattr(self, name)
-            if value != getattr(default, name):
-                parts.append(f"{key}={value:g}")
-        return ",".join(parts)
+        return format_options(self, _KEYS, head="discipline", skip_defaults=True)
 
     def describe(self) -> str:
         extra = ""

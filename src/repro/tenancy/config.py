@@ -48,15 +48,12 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.grammar import format_value
+
 #: Queue depth below which weighted-fair shedding never engages.
 DEFAULT_FAIR_DEPTH = 64
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
-
-
-def _fmt(value: float) -> str:
-    """Render a float without a trailing ``.0`` (round-trips cleanly)."""
-    return f"{value:g}"
 
 
 @dataclass(frozen=True)
@@ -159,17 +156,17 @@ class TenantConfig:
 
     def spec_string(self) -> str:
         """Canonical segment accepted back by :meth:`parse`."""
-        parts = [f"{self.name}={self.model}:{_fmt(self.weight)}"]
+        parts = [f"{self.name}={self.model}:{format_value(self.weight)}"]
         if self.slo_ms is not None:
-            parts.append(f"slo={_fmt(self.slo_ms)}")
+            parts.append(f"slo={format_value(self.slo_ms)}")
         if self.shadow:
             parts.append("shadow")
         if self.canary_fraction > 0:
-            parts.append(f"canary={_fmt(self.canary_fraction)}")
+            parts.append(f"canary={format_value(self.canary_fraction)}")
         if self.burst != 1.0:
-            parts.append(f"burst={_fmt(self.burst)}")
+            parts.append(f"burst={format_value(self.burst)}")
         if self.rollout_at_s is not None:
-            parts.append(f"rollout={_fmt(self.rollout_at_s)}")
+            parts.append(f"rollout={format_value(self.rollout_at_s)}")
         return ",".join(parts)
 
 

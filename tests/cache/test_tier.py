@@ -45,6 +45,26 @@ class TestCacheConfigGrammar:
         config = CacheConfig.parse(text)
         assert CacheConfig.parse(config.spec_string()) == config
 
+    @pytest.mark.parametrize("text, message", [
+        ("cap=3",
+         "unknown cache spec key 'cap'; "
+         "known: ['capacity', 'policy', 'remote', 'rttl', 'ttl', 'window']"),
+        ("mru", "unknown cache policy 'mru'; choose from lru, lfu, segmented"),
+        ("policy=mru", "unknown cache policy 'mru'; choose from lru, lfu, segmented"),
+        ("capacity=x", "invalid literal for int() with base 10: 'x'"),
+        ("ttl=x", "could not convert string to float: 'x'"),
+    ])
+    def test_exact_messages(self, text, message):
+        with pytest.raises(ValueError) as info:
+            CacheConfig.parse(text)
+        assert str(info.value) == message
+
+    def test_spec_string_skips_defaults(self):
+        assert CacheConfig().spec_string() == "lru"
+        assert CacheConfig.parse("policy=lfu,rttl=30,capacity=9").spec_string() == (
+            "lfu,capacity=9,rttl=30"
+        )
+
     def test_zero_capacity_both_tiers_is_disabled(self):
         assert not CacheConfig(capacity=0).enabled
         assert CacheConfig(capacity=0, remote_capacity=8).enabled

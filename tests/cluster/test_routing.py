@@ -71,6 +71,28 @@ class TestRoutingPolicyParsing:
         with pytest.raises(ValueError):
             RoutingPolicy(eject_after=0)
 
+    @pytest.mark.parametrize("text, message", [
+        ("ejekt=3",
+         "unknown routing spec key 'ejekt'; known: ['cooldown', 'eject', 'lag']"),
+        ("p2c", "unknown routing discipline 'p2c'; known: ['rr', 'lor']"),
+        ("eject=x", "invalid literal for int() with base 10: 'x'"),
+        ("cooldown=x", "could not convert string to float: 'x'"),
+    ])
+    def test_exact_messages(self, text, message):
+        with pytest.raises(ValueError) as info:
+            RoutingPolicy.parse(text)
+        assert str(info.value) == message
+
+    def test_spec_string_skips_defaults(self):
+        assert RoutingPolicy().spec_string() == "rr"
+        assert RoutingPolicy.parse(" lor,,eject=2, lag=0.5 ").spec_string() == (
+            "lor,eject=2,lag=0.5"
+        )
+        # Every digit survives: the string re-parses to the same policy.
+        assert RoutingPolicy(cooldown_s=12.3456789).spec_string() == (
+            "rr,cooldown=12.3456789"
+        )
+
 
 class TestNoBackendRoundTrip:
     """The service-answered 503 charges both network legs (satellite fix)."""

@@ -103,6 +103,32 @@ class TestBashBlocks:
         assert docs_check.check_bash_block(body, "doc.md:1") == []
 
 
+class TestFeatureRows:
+    def test_real_readme_names_every_accepting_command(self):
+        text = (REPO_ROOT / "README.md").read_text()
+        assert docs_check.check_feature_rows(text, "README.md") == []
+
+    def test_missing_command_and_missing_row_flagged(self):
+        text = (REPO_ROOT / "README.md").read_text()
+        lines = [
+            line for line in text.splitlines() if not line.startswith("| `--retry")
+        ]
+        lines = [
+            line.replace("| `run`, `drill` |", "| `run` |")
+            if line.startswith("| `--routing") else line
+            for line in lines
+        ]
+        problems = docs_check.check_feature_rows("\n".join(lines), "README.md")
+        assert problems == [
+            "README.md: no flag-table row for --retry names `infra-test`, "
+            "which accepts it",
+            "README.md: no flag-table row for --retry names `run`, "
+            "which accepts it",
+            "README.md: no flag-table row for --routing names `drill`, "
+            "which accepts it",
+        ]
+
+
 class TestRealDocs:
     def test_shipped_documentation_is_clean(self, capsys):
         """The committed docs/README examples must validate — the same

@@ -103,6 +103,28 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
 
+    @pytest.mark.parametrize("text, message", [
+        ("nope=3",
+         "unknown retry spec key 'nope'; "
+         "known: ['base', 'cap', 'hedge', 'jitter', 'max', 'mult']"),
+        ("max", "bad retry spec item 'max'; expected key=value"),
+        ("max=x", "invalid literal for int() with base 10: 'x'"),
+        ("base=x", "could not convert string to float: 'x'"),
+    ])
+    def test_exact_messages(self, text, message):
+        with pytest.raises(ValueError) as info:
+            RetryPolicy.parse(text)
+        assert str(info.value) == message
+
+    def test_spec_string_writes_every_set_key(self):
+        assert RetryPolicy().spec_string() == (
+            "max=3,base=0.05,cap=1,mult=2,jitter=0.5"
+        )
+        assert RetryPolicy(hedge_after_s=0.2).spec_string().endswith(",hedge=0.2")
+        assert RetryPolicy(base_backoff_s=0.0333333333).spec_string() == (
+            "max=3,base=0.0333333333,cap=1,mult=2,jitter=0.5"
+        )
+
     def test_retryable_statuses(self):
         policy = RetryPolicy()
         assert policy.retryable(HTTP_SERVICE_UNAVAILABLE)

@@ -64,6 +64,32 @@ class TestPolicyParsing:
         with pytest.raises(ValueError):
             AdmissionPolicy.parse("slak=0.1")
 
+    @pytest.mark.parametrize("text, message", [
+        ("slak=0.1",
+         "unknown admission spec key 'slak'; "
+         "known: ['depth', 'interval', 'slack', 'target']"),
+        ("sjf", "unknown admission discipline 'sjf'; known: ['fifo', 'lifo', 'codel']"),
+        ("depth=x", "invalid literal for int() with base 10: 'x'"),
+        ("slack=x", "could not convert string to float: 'x'"),
+    ])
+    def test_exact_messages(self, text, message):
+        with pytest.raises(ValueError) as info:
+            AdmissionPolicy.parse(text)
+        assert str(info.value) == message
+
+    def test_spec_string_skips_defaults(self):
+        assert AdmissionPolicy().spec_string() == "fifo"
+        assert AdmissionPolicy.parse("lifo,depth=8,slack=0.01").spec_string() == (
+            "lifo,slack=0.01,depth=8"
+        )
+        # Large integers and long fractions round-trip digit for digit.
+        assert AdmissionPolicy(lifo_threshold=1_000_000).spec_string() == (
+            "fifo,depth=1000000"
+        )
+        assert AdmissionPolicy(slack_s=0.0123456789).spec_string() == (
+            "fifo,slack=0.0123456789"
+        )
+
 
 class TestViability:
     def test_no_deadline_is_always_viable(self):

@@ -50,6 +50,20 @@ class TestFallbackConfig:
         with pytest.raises(ValueError):
             FallbackConfig.parse("latency=1")
 
+    @pytest.mark.parametrize("text, message", [
+        ("latency=1", "unknown fallback spec key 'latency'; known: ['budget', 'topk']"),
+        ("fast", "bad fallback spec item 'fast'; expected key=value"),
+        ("topk=x", "invalid literal for int() with base 10: 'x'"),
+        ("budget=x", "could not convert string to float: 'x'"),
+    ])
+    def test_exact_messages(self, text, message):
+        with pytest.raises(ValueError) as info:
+            FallbackConfig.parse(text)
+        assert str(info.value) == message
+
+    def test_spec_string_writes_every_key(self):
+        assert FallbackConfig().spec_string() == "budget=0.002,topk=21"
+
 
 class TestPopularityFallback:
     def test_returns_most_popular_items(self):

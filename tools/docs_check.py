@@ -17,7 +17,9 @@ Additionally, markdown *flag tables* (rows whose first cell is a backticked
 ``--flag`` and whose second cell backticks subcommand names, like the
 README's opt-in feature table) are cross-checked against the argparse
 definitions in ``repro.cli``: every listed (flag, command) pair must be an
-option the real subparser accepts.
+option the real subparser accepts. Conversely, every opt-in dimension's flag
+(``repro.core.spec.FEATURES``) needs a ``README.md`` flag-table row that
+names every subcommand whose parser accepts it.
 
 Run directly:  ``python tools/docs_check.py`` (``src/`` is added to the
 import path automatically, like the other ``tools/`` scripts).
@@ -33,7 +35,7 @@ import re
 import shlex
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -148,6 +150,13 @@ def _subcommand_parsers():
     return action.choices
 
 
+def _option_strings(parser) -> Set[str]:
+    """Every option string a subcommand's parser accepts."""
+    return {
+        option for action in parser._actions for option in action.option_strings
+    }
+
+
 def check_flag_table_rows(text: str, display) -> Tuple[List[str], int]:
     """Cross-check flag-table rows against the CLI's argparse definitions.
 
@@ -174,17 +183,40 @@ def check_flag_table_rows(text: str, display) -> Tuple[List[str], int]:
             continue
         rows += 1
         for command in commands:
-            options = {
-                option
-                for action in subparsers[command]._actions
-                for option in action.option_strings
-            }
-            if flag not in options:
+            if flag not in _option_strings(subparsers[command]):
                 problems.append(
                     f"{display}:{number}: table says `{command}` takes "
                     f"{flag}, but the CLI does not accept it"
                 )
     return problems, rows
+
+
+def check_feature_rows(text: str, display) -> List[str]:
+    """Every FEATURES flag has a flag-table row naming each command taking it.
+
+    The commands that take a flag are read from the argparse subparsers,
+    so registering a feature flag on one more subcommand fails this check
+    until the table names that subcommand too.
+    """
+    from repro.core.spec import FEATURES
+
+    named: Dict[str, Set[str]] = {}
+    for line in text.splitlines():
+        match = FLAG_ROW_RE.match(line.strip())
+        if match:
+            named.setdefault(match.group(1), set()).update(
+                re.findall(r"`([\w-]+)`", match.group(2))
+            )
+    problems = []
+    for command, parser in _subcommand_parsers().items():
+        options = _option_strings(parser)
+        for feature in FEATURES:
+            if feature.flag in options and command not in named.get(feature.flag, ()):
+                problems.append(
+                    f"{display}: no flag-table row for {feature.flag} names "
+                    f"`{command}`, which accepts it"
+                )
+    return problems
 
 
 def check_file(path: Path) -> Tuple[List[str], int]:
@@ -216,6 +248,9 @@ def main(argv: List[str] = None) -> int:
         paths.append(REPO_ROOT / "README.md")
     problems: List[str] = []
     checked = 0
+    if not argv:
+        readme = REPO_ROOT / "README.md"
+        problems.extend(check_feature_rows(readme.read_text(), "README.md"))
     for path in paths:
         try:
             file_problems, blocks = check_file(path)
