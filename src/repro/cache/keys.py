@@ -36,7 +36,7 @@ def prefix_tuple(session_items: Sequence[int], window: int) -> Tuple[int, ...]:
         raise ValueError("window must be >= 1")
     items = np.asarray(session_items).reshape(-1)
     tail = items[-window:] if items.shape[0] > window else items
-    return tuple(int(item) for item in tail)
+    return tuple(tail.tolist())
 
 
 class SessionKeyer:

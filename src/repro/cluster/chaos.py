@@ -499,14 +499,15 @@ class ChaosController:
             )
             self._counters[event.kind] = counter
         counter.inc()
-        span = self.telemetry.trace.begin(
+        trace = self.telemetry.trace
+        trace.record(
             event.span_name or f"chaos_{event.kind}",
             self._next_chaos_trace_id,
+            trace.clock(),
+            at + (detail.get("duration_s") or 0.0),
             **detail,
         )
         self._next_chaos_trace_id -= 1
-        end = at + (detail.get("duration_s") or 0.0)
-        span.finish(at=end)
 
     @property
     def events_fired(self) -> int:

@@ -26,23 +26,20 @@ class Infrastructure:
     cluster: Cluster
     service_accounts: List[str] = field(default_factory=list)
 
-    def reset_simulator(self, cluster_rng=None) -> None:
-        """Fresh virtual clock for the next experiment, same bucket/streams.
+    def reset_simulator(self) -> None:
+        """Fresh virtual clock and cluster, same bucket/streams, for code
+        that deploys by hand on the infrastructure.
 
-        ``cluster_rng`` (optional) replaces the infrastructure-lifetime
-        ``"cluster"`` stream for the next experiment. The experiment driver
-        passes a per-run derivation (``streams.fork(spec.seed)``) so every
-        run's randomness — pod provisioning jitter, per-server noise seeds —
-        is a pure function of ``(infra seed, spec seed)`` instead of how
-        many runs happened on this infrastructure before. That hermeticity
-        is what lets the parallel execution backend evaluate runs in child
-        processes and still produce bit-identical results to a serial sweep
-        (see ``docs/parallelism.md``).
+        :meth:`~repro.core.experiment.ExperimentRunner.run` does not use
+        these: each run builds its own simulator and a cluster on a
+        per-run ``"cluster"`` stream (``streams.fork(spec.seed)``), so
+        every run's randomness is a pure function of ``(infra seed, spec
+        seed)`` (see ``docs/parallelism.md``).
         """
         self.simulator = Simulator()
-        if cluster_rng is None:
-            cluster_rng = self.streams.stream("cluster")
-        self.cluster = Cluster(self.simulator, self.bucket, cluster_rng)
+        self.cluster = Cluster(
+            self.simulator, self.bucket, self.streams.stream("cluster")
+        )
 
 
 def make_infra(seed: int = 1234, bucket_name: str = "etude-artifacts") -> Infrastructure:

@@ -158,6 +158,11 @@ class ClusterIPService:
         # request path below is then byte-for-byte the pre-sharding one.
         self.aggregator: Optional[ScatterGatherAggregator] = None
         self._shard_cursors: Dict[int, int] = {}
+        #: Every pod of each shard, ready or not, in deployment order.
+        #: ``deployment.pods`` only grows and a pod's shard is fixed, so
+        #: the groups are rebuilt only when a pod has been added.
+        self._shard_pods: Dict[int, List[Pod]] = {}
+        self._shard_pods_seen = 0
         if getattr(deployment, "shards", 1) > 1:
             shards = deployment.shards
             if catalog_size is not None and catalog_size > 0:
@@ -330,10 +335,10 @@ class ClusterIPService:
                     )
 
     def _service_span(self, name: str, **attrs) -> None:
-        duration = attrs.get("duration_s") or 0.0
-        span = self.telemetry.trace.begin(name, self._next_span_id, **attrs)
+        trace = self.telemetry.trace
+        end = self.simulator.now + (attrs.get("duration_s") or 0.0)
+        trace.record(name, self._next_span_id, trace.clock(), end, **attrs)
         self._next_span_id -= 1
-        span.finish(at=self.simulator.now + duration)
 
     def pod_ejected(self, pod: Pod) -> bool:
         """Is ``pod`` currently sitting out an ejection cooldown?"""
@@ -354,17 +359,27 @@ class ClusterIPService:
         reach each shard exactly once, so there is nothing to balance
         across shards. A shard with no pod in view answers an immediate
         503 for its leg (connection refused; the aggregator has already
-        charged the network legs).
+        charged the network legs). Readiness is read per leg, so a pod
+        that drops out between two legs of one fan-out misses the later
+        one.
         """
 
         def submit(
             sub_request: RecommendationRequest, respond: ResponseCallback
         ) -> None:
             if self.routing is None:
-                view = self.deployment.ready_pods
+                if len(self.deployment.pods) != self._shard_pods_seen:
+                    self._shard_pods = partition_by_shard(self.deployment.pods)
+                    self._shard_pods_seen = len(self.deployment.pods)
+                pods = [
+                    pod
+                    for pod in self._shard_pods.get(shard_index, ())
+                    if pod.ready
+                ]
             else:
-                view = self._routing_view()
-            pods = partition_by_shard(view).get(shard_index, [])
+                pods = partition_by_shard(self._routing_view()).get(
+                    shard_index, []
+                )
             if not pods:
                 respond(
                     RecommendationResponse(
@@ -469,10 +484,10 @@ class ClusterIPService:
 
             def arrive() -> None:
                 if self.telemetry is not None:
-                    self.telemetry.trace.begin(
-                        "sent", request.request_id, at=request.sent_at,
-                        no_backend=True,
-                    ).finish(at=self.simulator.now)
+                    self.telemetry.trace.record(
+                        "sent", request.request_id, request.sent_at,
+                        self.simulator.now, no_backend=True,
+                    )
                 self.simulator.call_in(
                     self._network_delay(),
                     lambda: respond(

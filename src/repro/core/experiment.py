@@ -17,7 +17,7 @@ import json
 from dataclasses import asdict, replace
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.cluster.kubernetes import AuxiliaryFleet, DeploymentError
+from repro.cluster.kubernetes import AuxiliaryFleet, Cluster, DeploymentError
 from repro.cluster.provisioning import Infrastructure, make_infra
 from repro.cluster.service import ClusterIPService
 from repro.core.registry import GLOBAL_REGISTRY, AssetRegistry, ServingAssets
@@ -35,6 +35,7 @@ from repro.sharding.plan import (
     shard_score_bytes_per_item,
     shard_service_profile,
 )
+from repro.simulation import Simulator
 from repro.tenancy.fleet import TenantServing
 from repro.tenancy.rollout import TenantRollout
 from repro.tenancy.split import TrafficSplitter
@@ -95,6 +96,11 @@ class ExperimentRunner:
         Pass a :class:`~repro.obs.telemetry.Telemetry` to record per-request
         spans and cluster metrics for this run (see ``docs/observability.md``);
         with the default ``None`` the run carries zero instrumentation.
+
+        The run's simulator and cluster are its own, never stored on the
+        infrastructure: once this returns, normally or by raising, the
+        servers, spans and workload item pool live only as long as the
+        result and the caller's ``telemetry`` reach them.
         """
         instance = instance_by_name(spec.hardware.instance_type)
         # ANN retrieval swaps the scoring head behind the same assets
@@ -118,9 +124,8 @@ class ExperimentRunner:
         # execution backend's child-process evaluations bit-identical to a
         # serial sweep (docs/parallelism.md).
         streams = self.infra.streams.fork(spec.seed)
-        self.infra.reset_simulator(cluster_rng=streams.stream("cluster"))
-        simulator = self.infra.simulator
-        cluster = self.infra.cluster
+        simulator = Simulator()
+        cluster = Cluster(simulator, self.infra.bucket, streams.stream("cluster"))
         if telemetry is not None:
             telemetry.bind(simulator)
 

@@ -404,6 +404,10 @@ class DeploymentPlanner:
             replicas += 1
         if best is None:
             return None
+        if best.replicas > start:
+            # The climb measured best.replicas - 1 and found it infeasible;
+            # runs are hermetic, so measuring it again cannot change that.
+            return best
         # The analytic seed can overshoot; try to shrink.
         while best.replicas > floor:
             candidate = self._measure(

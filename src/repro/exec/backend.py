@@ -103,14 +103,18 @@ def _observe(
     )
     gauge.set(workers)
     for index, outcome in enumerate(outcomes):
-        span = telemetry.trace.begin(
+        now = telemetry.trace.clock()
+        telemetry.trace.record(
             "exec_task",
-            trace_id=index,
+            index,
+            now,
+            now,
             key=str(outcome.key),
             backend=backend_name,
             worker=outcome.worker,
+            wall_s=outcome.wall_s,
+            ok=outcome.ok,
         )
-        telemetry.trace.finish(span, wall_s=outcome.wall_s, ok=outcome.ok)
         completed.inc()
         if not outcome.ok:
             failed.inc()

@@ -136,9 +136,9 @@ def stage_breakdown(trace: Trace) -> Optional[BreakdownReport]:
     e2e = LatencyDigest()
     requests = 0
 
-    for spans in trace.by_trace().values():
+    for spans in trace.by_trace(root=ROOT_SPAN).values():
         root = spans[0]
-        if root.name != ROOT_SPAN or not root.finished:
+        if not root.finished:
             continue
         if root.attrs.get("status", HTTP_OK) != HTTP_OK:
             continue

@@ -14,11 +14,11 @@ Span model (see ``docs/observability.md`` for the full contract):
   ``trace_id`` is the request id;
 - stage spans (``sent``, ``queued``, ``batch_assembled``, ``inference``,
   ``http_respond``) are children of that root, linked automatically when
-  ``begin()`` is called without an explicit parent;
+  ``begin()`` or ``record()`` is called without an explicit parent;
 - attributes carry the cross-cutting identifiers, most importantly
   ``batch_id``: every request flushed in one GPU batch shares it.
 
-Spans can be driven two ways:
+Spans can be driven three ways:
 
 - context manager, for synchronous blocks::
 
@@ -30,6 +30,13 @@ Spans can be driven two ways:
       span = trace.begin("queued", trace_id=7)
       ...                       # arbitrarily later, other events between
       span.finish()             # stamps the clock at finish time
+
+- one call, for a span whose both ends are known when it is recorded::
+
+      trace.record("inference", 7, started, started + duration_s, batch_id=3)
+
+  is ``trace.begin("inference", 7, at=started).finish(at=started +
+  duration_s, batch_id=3)``: the same span id, root link and attributes.
 
 ``begin`` and ``finish`` both accept ``at=`` to backdate a boundary — the
 servers use this to split one combined ``yield`` into its inference and
@@ -62,14 +69,15 @@ class Span:
         start: float,
         attrs: Optional[Dict[str, Any]] = None,
         clock: Optional[Callable[[], float]] = None,
+        end: Optional[float] = None,
     ):
         self.name = name
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
         self.start = start
-        self.end: Optional[float] = None
-        self.attrs: Dict[str, Any] = attrs or {}
+        self.end = end
+        self.attrs: Dict[str, Any] = {} if attrs is None else attrs
         self._clock = clock
 
     @property
@@ -145,20 +153,37 @@ class Trace:
         child of the first span recorded for ``trace_id`` (the root), or
         the root itself when none exists yet."""
         root = self._roots.get(trace_id)
-        if parent is None and root is not None:
-            parent_id: Optional[int] = root.span_id
-        elif parent is not None:
-            parent_id = parent.span_id
+        if parent is not None:
+            parent_id: Optional[int] = parent.span_id
+        elif root is not None:
+            parent_id = root.span_id
         else:
             parent_id = None
         span = Span(
-            name=name,
-            trace_id=trace_id,
-            span_id=self._next_span_id,
-            parent_id=parent_id,
-            start=self.clock() if at is None else at,
-            attrs=attrs or None,
-            clock=self.clock,
+            name, trace_id, self._next_span_id, parent_id,
+            self.clock() if at is None else at, attrs, self.clock,
+        )
+        self._next_span_id += 1
+        self.spans.append(span)
+        if root is None:
+            self._roots[trace_id] = span
+        return span
+
+    def record(
+        self, name: str, trace_id: int, start: float, end: float, **attrs: Any
+    ) -> Span:
+        """Append a span that closed at birth, in one call.
+
+        Equivalent to ``begin(name, trace_id, at=start).finish(at=end,
+        **attrs)``: the next span id, a child of the trace's root (or the
+        root itself when the trace has none yet), ``attrs`` in the order
+        given.
+        """
+        root = self._roots.get(trace_id)
+        span = Span(
+            name, trace_id, self._next_span_id,
+            None if root is None else root.span_id,
+            start, attrs, self.clock, end,
         )
         self._next_span_id += 1
         self.spans.append(span)
@@ -191,11 +216,20 @@ class Trace:
         """The first span recorded for ``trace_id``, or None."""
         return self._roots.get(trace_id)
 
-    def by_trace(self) -> Dict[int, List[Span]]:
-        """Spans grouped by ``trace_id``, in recording order."""
-        grouped: Dict[int, List[Span]] = {}
+    def by_trace(self, root: Optional[str] = None) -> Dict[int, List[Span]]:
+        """Spans grouped by ``trace_id``, in recording order.
+
+        With ``root``, only the traces whose root span has that name.
+        """
+        grouped: Dict[int, List[Span]] = {
+            trace_id: []
+            for trace_id, first in self._roots.items()
+            if root is None or first.name == root
+        }
         for span in self.spans:
-            grouped.setdefault(span.trace_id, []).append(span)
+            spans = grouped.get(span.trace_id)
+            if spans is not None:
+                spans.append(span)
         return grouped
 
     def find(self, name: str) -> List[Span]:

@@ -116,10 +116,10 @@ class QueryDispatcher:
                     labels={"reason": reason},
                     help="Requests steered off the GPU batch path.",
                 ).inc()
-            span = self.telemetry.trace.begin(
-                "sched_route", request.request_id, at=now, route=route
+            self.telemetry.trace.record(
+                "sched_route", request.request_id, now, now,
+                route=route, reason=reason or "batchable",
             )
-            span.finish(at=now, reason=reason or "batchable")
         return route
 
     # -- tuner feedback -------------------------------------------------------

@@ -125,10 +125,12 @@ class SchedulerRuntime:
             "scheduler_linger_s", unit="s",
             help="current tuned GPU batching linger",
         ).set(self.tuner.linger_s)
-        span = self.telemetry.trace.begin(
+        now = self.simulator.now
+        self.telemetry.trace.record(
             "sched_tune",
             self._next_trace_id,
-            at=self.simulator.now,
+            now,
+            now,
             moved=moved or "hold",
             p_tail_ms=observation.p_tail_ms,
             max_batch=self.tuner.max_batch,
@@ -136,7 +138,6 @@ class SchedulerRuntime:
             short_session=self.tuner.short_session,
         )
         self._next_trace_id -= 1
-        span.finish(at=self.simulator.now)
 
     # -- reporting ------------------------------------------------------------
 

@@ -360,7 +360,7 @@ class EtudeInferenceServer:
             trace = self.telemetry.trace
             now = self.simulator.now
             # The client→server leg: from send time to intake.
-            trace.begin("sent", request.request_id, at=request.sent_at).finish(at=now)
+            trace.record("sent", request.request_id, request.sent_at, now)
             self._queued_spans[request.request_id] = trace.begin(
                 "queued", request.request_id, server=self.name
             )
@@ -430,9 +430,7 @@ class EtudeInferenceServer:
             if self.telemetry is not None:
                 self._cache_coalesced_counter.inc()
                 trace = self.telemetry.trace
-                trace.begin("sent", request.request_id, at=request.sent_at).finish(
-                    at=now
-                )
+                trace.record("sent", request.request_id, request.sent_at, now)
                 trace.begin(
                     "coalesced", request.request_id, server=self.name
                 )
@@ -444,9 +442,9 @@ class EtudeInferenceServer:
         if cache.remote is not None:
             rtt = self._remote_hop.sample_round_trip(self._jitter)
             if self.telemetry is not None:
-                self.telemetry.trace.begin(
-                    "cache_remote", request.request_id, at=now
-                ).finish(at=now + rtt)
+                self.telemetry.trace.record(
+                    "cache_remote", request.request_id, now, now + rtt
+                )
             self.simulator.call_in(
                 rtt, lambda: self._after_remote(request, respond, key)
             )
@@ -491,11 +489,9 @@ class EtudeInferenceServer:
         http_s = self._http_overhead()
         if self.telemetry is not None:
             trace = self.telemetry.trace
-            trace.begin("sent", request.request_id, at=request.sent_at).finish(
-                at=now
-            )
-            trace.begin("cache_hit", request.request_id, at=now, tier=tier).finish(
-                at=now + http_s
+            trace.record("sent", request.request_id, request.sent_at, now)
+            trace.record(
+                "cache_hit", request.request_id, now, now + http_s, tier=tier
             )
             self._cache_hit_counters[tier].inc()
 
@@ -536,10 +532,10 @@ class EtudeInferenceServer:
         parked_s = now - joined_at
         http_s = self._http_overhead()
         if self.telemetry is not None:
-            span = self.telemetry.trace.begin(
-                "cache_hit", request.request_id, at=now, tier="coalesced"
+            self.telemetry.trace.record(
+                "cache_hit", request.request_id, now, now + http_s,
+                tier="coalesced",
             )
-            span.finish(at=now + http_s)
 
         def deliver() -> None:
             if not self.healthy:
@@ -686,9 +682,10 @@ class EtudeInferenceServer:
                 )
             self._fallback_counter.inc()
             now = self.simulator.now
-            self.telemetry.trace.begin(
-                "fallback_served", request.request_id, at=now, reason=reason
-            ).finish(at=now + budget)
+            self.telemetry.trace.record(
+                "fallback_served", request.request_id, now, now + budget,
+                reason=reason,
+            )
         items = tier.recommend(request.session_items)
 
         def deliver() -> None:
@@ -993,13 +990,13 @@ class EtudeInferenceServer:
             if self.telemetry is not None:
                 trace = self.telemetry.trace
                 rid = request.request_id
-                trace.begin("inference", rid, at=started).finish(
-                    at=started + inference_s,
-                    batch_id=self._batch_counter,
-                    batch_size=1,
+                trace.record(
+                    "inference", rid, started, started + inference_s,
+                    batch_id=self._batch_counter, batch_size=1,
                 )
-                trace.begin("http_respond", rid, at=started + inference_s).finish(
-                    at=started + inference_s + http_s
+                trace.record(
+                    "http_respond", rid, started + inference_s,
+                    started + inference_s + http_s,
                 )
                 self._batch_size_hist.observe(1)
             if self.retrieval is not None:
@@ -1124,9 +1121,10 @@ class EtudeInferenceServer:
                 # adds latency but does not occupy the device.
                 http_s = self._http_overhead()
                 if self.telemetry is not None:
-                    self.telemetry.trace.begin(
-                        "http_respond", request.request_id, at=simulator.now
-                    ).finish(at=simulator.now + http_s)
+                    now = simulator.now
+                    self.telemetry.trace.record(
+                        "http_respond", request.request_id, now, now + http_s
+                    )
                 simulator.call_in(
                     http_s,
                     self._make_responder(
@@ -1152,13 +1150,13 @@ class EtudeInferenceServer:
             queued_span = self._queued_spans.pop(rid, None)
             if queued_span is not None:
                 queued_span.finish(at=assembly_from)
-            trace.begin("batch_assembled", rid, at=assembly_from).finish(
-                at=started, batch_id=self._batch_counter, batch_size=take
+            trace.record(
+                "batch_assembled", rid, assembly_from, started,
+                batch_id=self._batch_counter, batch_size=take,
             )
-            trace.begin("inference", rid, at=started).finish(
-                at=started + batch_time,
-                batch_id=self._batch_counter,
-                batch_size=take,
+            trace.record(
+                "inference", rid, started, started + batch_time,
+                batch_id=self._batch_counter, batch_size=take,
             )
 
     def _note_retrieval(
@@ -1176,13 +1174,11 @@ class EtudeInferenceServer:
         if self.telemetry is not None:
             self._ann_query_counter.inc()
             self._ann_probe_counter.inc(nprobe)
-            self.telemetry.trace.begin(
-                "retrieval_probe",
-                request_id,
-                at=started,
+            self.telemetry.trace.record(
+                "retrieval_probe", request_id, started, started + duration_s,
                 nlist=self.retrieval.nlist or 0,
                 nprobe=nprobe,
-            ).finish(at=started + duration_s)
+            )
 
     def _make_responder(
         self, request, respond, batch_time, take, started, arrival, batch_id

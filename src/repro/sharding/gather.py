@@ -135,9 +135,9 @@ class ScatterGatherAggregator:
             self._fanout_counter.inc()
         state = _Fanout(request, respond, self.config.shards)
         if self.telemetry is not None:
-            self.telemetry.trace.begin(
-                "sent", request.request_id, at=request.sent_at
-            ).finish(at=now)
+            self.telemetry.trace.record(
+                "sent", request.request_id, request.sent_at, now
+            )
             state.fanout_span = self.telemetry.trace.begin(
                 "shard_fanout",
                 request.request_id,
@@ -183,12 +183,10 @@ class ScatterGatherAggregator:
                 at=now,
                 responded=sum(1 for leg in state.legs.values() if leg.ok),
             )
-            self.telemetry.trace.begin(
-                "shard_merge",
-                state.request.request_id,
-                at=now,
+            self.telemetry.trace.record(
+                "shard_merge", state.request.request_id, now, now + merge_s,
                 candidates=self.config.shards * self.top_k,
-            ).finish(at=now + merge_s)
+            )
         self.simulator.call_in(merge_s, lambda: self._settle(state))
 
     # -- merge -------------------------------------------------------------

@@ -96,14 +96,15 @@ class TenantRollout:
             )
             if self.telemetry is not None:
                 self._span_id += 1
-                self.telemetry.trace.begin(
+                self.telemetry.trace.record(
                     "tenant_rollout",
                     self._span_id,
-                    at=started,
+                    started,
+                    now,
                     tenant=self.tenant.name,
                     pod=pod.name,
                     version=new_version,
-                ).finish(at=now)
+                )
         self.done = True
 
     def summary(self) -> Dict:

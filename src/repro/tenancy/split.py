@@ -262,9 +262,9 @@ class TrafficSplitter:
         if self.telemetry is None:
             return
         now = self.simulator.now
-        self.telemetry.trace.begin(
-            "tenant_route", request.request_id, at=now, tenant=name, arm=arm
-        ).finish(at=now)
+        self.telemetry.trace.record(
+            "tenant_route", request.request_id, now, now, tenant=name, arm=arm
+        )
         counter = self._route_counters.get((name, arm))
         if counter is None:
             counter = self.telemetry.metrics.counter(

@@ -77,7 +77,9 @@ class EmpiricalCDF:
             counts, return_inverse=True, return_counts=True
         )
         # Items grouped by class, so class members are contiguous.
-        self._item_pool = np.argsort(inverse, kind="stable").astype(np.int64)
+        self._item_pool = np.argsort(inverse, kind="stable").astype(
+            np.int64, copy=False
+        )
         self._class_offsets = np.concatenate(
             [[0], np.cumsum(class_sizes)]
         ).astype(np.int64)
@@ -112,7 +114,10 @@ class EmpiricalCDF:
 
         instance = cls.__new__(cls)
         instance._size = num_items
-        instance._item_pool = rng.permutation(num_items).astype(np.int64)
+        # Already int64: the astype is a guard, not a C-sized copy.
+        instance._item_pool = rng.permutation(num_items).astype(
+            np.int64, copy=False
+        )
         instance._class_offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(
             np.int64
         )

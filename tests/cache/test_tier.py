@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.keys import SessionKeyer, prefix_tuple
 from repro.cache.policy import MISSING
@@ -76,6 +78,22 @@ class TestSessionPrefixKeys:
         assert prefix_tuple([1, 2, 3, 4, 5], window=3) == (3, 4, 5)
         assert prefix_tuple([1, 2], window=8) == (1, 2)
         assert prefix_tuple(np.array([7, 8, 9], dtype=np.int64), window=2) == (8, 9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        dtype=st.sampled_from([np.int32, np.int64, None]),
+        clicks=st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=40),
+    )
+    def test_integer_prefixes_are_plain_ints(self, data, dtype, clicks):
+        """Integer arrays and lists key exactly as an ``int()`` per click did."""
+        session = clicks if dtype is None else np.asarray(clicks, dtype=dtype)
+        window = data.draw(st.integers(1, len(clicks) + 2))
+        items = np.asarray(session).reshape(-1)
+        tail = items[-window:] if items.shape[0] > window else items
+        key = prefix_tuple(session, window)
+        assert key == tuple(int(item) for item in tail)
+        assert all(type(item) is int for item in key)
 
     def test_same_suffix_same_key(self):
         """Sessions that diverge before the window share one cache entry."""

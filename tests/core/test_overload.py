@@ -198,5 +198,8 @@ class TestCircuitBreakerUnderChaos:
         ejection_spans = telemetry.trace.find("pod_ejected")
         assert len(ejection_spans) == result.overload["ejections"]
         assert all(span.trace_id < 0 for span in ejection_spans)
+        # Each ejection span covers its cooldown from the ejecting leg.
+        assert all(span.end == span.start + 2.0 for span in ejection_spans)
         recovery_spans = telemetry.trace.find("pod_recovered")
         assert len(recovery_spans) == result.overload["probe_recoveries"]
+        assert all(span.end == span.start for span in recovery_spans)

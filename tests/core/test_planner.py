@@ -172,3 +172,34 @@ class TestCombinedDimensionTieBreak:
             )
             answers.add(self._fingerprint(scenario_winner))
         assert answers == {("CPU", 2, 1, None, None, None)}
+
+
+class TestClimbDoesNotRemeasure:
+    def test_climb_skips_the_shrink(self, monkeypatch):
+        """A start count the climb left behind was measured infeasible:
+        the search stops at the first feasible count without measuring
+        that count minus one again, and plans what it always planned."""
+        measured = []
+        measure = DeploymentPlanner._measure
+
+        def counting(self, model, scenario, instance, replicas, *args):
+            measured.append(replicas)
+            return measure(self, model, scenario, instance, replicas, *args)
+
+        monkeypatch.setattr(DeploymentPlanner, "_measure", counting)
+        # Force an undershooting analytic start: 1 replica, where 2 are needed.
+        monkeypatch.setattr(
+            DeploymentPlanner, "estimate_replicas", lambda self, *a, **k: 1
+        )
+        planner = DeploymentPlanner(
+            runner=ExperimentRunner(seed=11), duration_s=20.0, max_replicas=6
+        )
+        plans = planner.plan(
+            Scenario("Fashion (300 rps)", 1_000_000, 300), ["stamp"],
+            instances=[CPU_E2],
+        )
+        assert measured == [1, 2]  # the search used to measure [1, 2, 1]
+        (option,) = plans["stamp"].options
+        assert (option.instance_type, option.replicas) == ("CPU", 2)
+        assert option.monthly_cost_usd == pytest.approx(216.18)
+        assert repr(option.result.p90_ms) == "34.67368504525317"

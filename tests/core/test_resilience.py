@@ -86,12 +86,15 @@ class TestInstrumentedResilienceRun:
         assert crashes.value == 1
 
     def test_retry_and_chaos_spans_recorded(self, traced):
-        _result, telemetry = traced
+        result, telemetry = traced
         backoffs = telemetry.trace.find("retry_backoff")
         assert backoffs
         assert all(span.finished for span in backoffs)
         (crash_span,) = telemetry.trace.find("chaos_crash")
         assert crash_span.trace_id < 0  # outside any request trace
+        (fired,) = result.resilience["chaos_events"]
+        assert crash_span.start == crash_span.end == fired["at_s"]
+        assert crash_span.attrs == {"pod_index": 0}
 
     def test_plain_run_has_no_resilience_section(self):
         result = ExperimentRunner(seed=22).run(spec(duration_s=10.0))

@@ -1,6 +1,8 @@
 """Span recording: nesting, ordering, and virtual-clock timestamps."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Span, Trace
 from repro.simulation import Simulator
@@ -146,3 +148,74 @@ class TestLifecycle:
         assert payload["trace_id"] == 3
         assert payload["attrs"] == {"batch_id": 1}
         assert payload["end"] == 0.5
+
+
+#: One recording step: a closed span (``record`` against begin + finish)
+#: or an open one, on one of a few traces, with attrs in drawn order.
+_times = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+_steps = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.sampled_from(["request", "sent", "inference", "cache_hit"]),
+        st.integers(min_value=-2, max_value=3),
+        _times,
+        _times,
+        st.lists(
+            st.tuples(st.sampled_from(["tier", "batch_id", "batch_size", "x"]),
+                      st.integers(0, 9)),
+            max_size=4,
+        ),
+    ),
+    max_size=30,
+)
+
+
+class TestRecord:
+    """``record`` is ``begin(at=start).finish(at=end, **attrs)`` in one call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_steps)
+    def test_matches_begin_then_finish(self, steps):
+        recorded, reference = Trace(), Trace()
+        for closed, name, trace_id, start, end, pairs in steps:
+            attrs = dict(pairs)
+            if closed:
+                span = recorded.record(name, trace_id, start, end, **attrs)
+                expected = reference.begin(name, trace_id, at=start).finish(
+                    at=end, **attrs
+                )
+                assert span.duration_s == expected.duration_s
+            else:
+                recorded.begin(name, trace_id, at=start, **attrs)
+                reference.begin(name, trace_id, at=start, **attrs)
+        assert [s.to_dict() for s in recorded.spans] == [
+            s.to_dict() for s in reference.spans
+        ]
+        assert [list(s.attrs) for s in recorded.spans] == [
+            list(s.attrs) for s in reference.spans
+        ]
+        for trace_id in range(-2, 4):
+            root, expected = recorded.root(trace_id), reference.root(trace_id)
+            assert (root and root.span_id) == (expected and expected.span_id)
+
+    def test_first_span_of_a_trace_is_its_root(self):
+        trace = Trace()
+        sent = trace.record("sent", -5, 1.0, 1.25, tier="local")
+        merge = trace.record("shard_merge", -5, 1.25, 1.5)
+        assert trace.root(-5) is sent and sent.parent_id is None
+        assert merge.parent_id == sent.span_id
+        assert (sent.finished, sent.duration_s) == (True, 0.25)
+        assert trace.begin("later", -5).parent_id == sent.span_id
+
+    def test_by_trace_filters_on_the_root_name(self):
+        trace = Trace()
+        trace.begin("request", 1, at=0.0)
+        trace.record("sent", -1, 0.0, 0.1)
+        trace.record("sent", 1, 0.0, 0.1)
+        trace.begin("request", 2, at=0.2)
+        trace.record("inference", -1, 0.1, 0.2)
+        everything = trace.by_trace()
+        assert trace.by_trace(root="request") == {
+            1: everything[1], 2: everything[2]
+        }
+        assert list(trace.by_trace(root="sent")) == [-1]

@@ -1,5 +1,7 @@
 """Power-law samplers and the two-stage empirical CDF."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,40 @@ class TestEmpiricalCDF:
 
     def test_len(self):
         assert len(EmpiricalCDF(np.ones(7))) == 7
+
+
+class TestItemPool:
+    """The item pool is built once, in place: same ids, one C-sized array."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("num_items", [1, 17, 50_000])
+    def test_pool_is_the_seeded_permutation(self, seed, num_items):
+        dist = BoundedPowerLaw(1.5, x_min=1, x_max=100)
+        cdf = EmpiricalCDF.from_power_law(dist, num_items, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        rng.multinomial(num_items, dist.pmf())
+        expected = rng.permutation(num_items).astype(np.int64)
+        assert cdf._item_pool.dtype == np.int64
+        np.testing.assert_array_equal(cdf._item_pool, expected)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_class_grouped_pool_keeps_values_and_dtype(self, seed):
+        counts = np.random.default_rng(seed).integers(0, 9, size=5_000).astype(float)
+        counts[0] = 1.0
+        cdf = EmpiricalCDF(counts)
+        _values, inverse = np.unique(counts, return_inverse=True)
+        expected = np.argsort(inverse, kind="stable").astype(np.int64)
+        assert cdf._item_pool.dtype == np.int64
+        np.testing.assert_array_equal(cdf._item_pool, expected)
+
+    def test_building_the_pool_allocates_one_pool(self):
+        dist = BoundedPowerLaw(1.5, x_min=1, x_max=100)
+        tracemalloc.start()
+        try:
+            cdf = EmpiricalCDF.from_power_law(
+                dist, 2_000_000, np.random.default_rng(1)
+            )
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cdf._item_pool.nbytes
