@@ -36,7 +36,7 @@ docs-check:
 	$(PYTHON) tools/docs_check.py
 
 .PHONY: test
-test: docs-check bench-smoke perfbench-selftest overload-smoke cache-smoke shard-smoke retrieval-smoke scheduler-smoke failover-smoke tenant-smoke parallel-smoke
+test: docs-check bench-smoke perfbench-selftest cache-smoke shard-smoke retrieval-smoke scheduler-smoke failover-smoke tenant-smoke parallel-smoke
 	$(PYTHON) -m pytest tests/
 
 # The host-time benchmark's self-tests (perfbench/README.md). They run
@@ -45,12 +45,6 @@ test: docs-check bench-smoke perfbench-selftest overload-smoke cache-smoke shard
 .PHONY: perfbench-selftest
 perfbench-selftest:
 	$(PYTHON) -m pytest perfbench/tests -q
-
-# Tiny deterministic overload run: deadline admission + fallback tier must
-# turn a 3x-capacity overload into degraded 200s (no 503s, p99 in SLO).
-.PHONY: overload-smoke
-overload-smoke:
-	$(PYTHON) tools/overload_smoke.py
 
 # Tiny deterministic cache run against a real model: the cache-on run must
 # hit, and every response must match the cache-off run's recommendations.

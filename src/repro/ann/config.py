@@ -133,14 +133,6 @@ class RetrievalConfig:
         materialized = min(int(catalog_size), int(materialized_cap))
         return max(int(np.sqrt(materialized)), 1)
 
-    def artifact_token(self) -> str:
-        """Short slug for artifact paths, so changing index parameters
-        produces a new artifact version (and thereby new cache keys)."""
-        if not self.enabled:
-            return ""
-        nlist = "auto" if self.nlist is None else str(self.nlist)
-        return f"ivf-nl{nlist}-np{self.nprobe}"
-
     def index_build_seconds(
         self, catalog_size: int, embedding_dim: int, device
     ) -> float:

@@ -25,7 +25,7 @@ a run with no cache configured (same contract as admission/fallback).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.keys import CacheKey, SessionKeyer
@@ -118,9 +118,6 @@ class CacheConfig:
             f" + remote x{self.remote_capacity}" if self.remote_capacity else ""
         )
         return f"{local}{remote}, last-{self.window} clicks"
-
-    def with_capacity(self, capacity: int) -> "CacheConfig":
-        return replace(self, capacity=capacity)
 
 
 class RemoteCacheTier:

@@ -29,16 +29,13 @@ from repro.core import (
     serial_microbenchmark,
 )
 from repro.core.report import render_latency_series, render_scenario_table
-from repro.core.spec import FEATURES, Scenario
+from repro.core.infra_test import INFRA_TEST_FEATURES, infra_test_features
+from repro.core.spec import FEATURE_BY_FIELD, FEATURES, Scenario
 from repro.exec.backend import ExecTask, make_backend
 from repro.hardware.clouds import cloud_catalog
 from repro.hardware.instances import instance_by_name
 from repro.models import BENCHMARK_MODELS, HEALTHY_MODELS, MODEL_REGISTRY
 from repro.workload import SyntheticWorkloadGenerator, WorkloadStatistics
-
-
-#: The FEATURES rows by spec field.
-_FEATURES = {feature.field: feature for feature in FEATURES}
 
 
 def _add_feature_flags(parser, *fields: str) -> None:
@@ -63,10 +60,7 @@ def _add_infra_command(subparsers) -> None:
     parser.add_argument("--duration", type=float, default=120.0)
     parser.add_argument("--seed", type=int, default=1234)
     _add_trace_flags(parser)
-    _add_feature_flags(
-        parser, "retry", "chaos", "slo_deadline_s", "admission", "fallback",
-        "cache", "sharding", "retrieval", "tenants",
-    )
+    _add_feature_flags(parser, *INFRA_TEST_FEATURES)
 
 
 def _add_micro_command(subparsers) -> None:
@@ -95,7 +89,7 @@ def _add_run_command(subparsers) -> None:
     parser.add_argument("--plot", action="store_true",
                         help="ASCII latency-vs-load chart (the Figure 4 view)")
     _add_trace_flags(parser)
-    _add_feature_flags(parser, *_FEATURES)
+    _add_feature_flags(parser, *FEATURE_BY_FIELD)
     _add_backend_flag(parser)
 
 
@@ -164,7 +158,7 @@ def _add_plan_command(subparsers) -> None:
         "measured recall falls below this are reported infeasible "
         "(default 0.95)",
     )
-    scheduler = _FEATURES["scheduler"]
+    scheduler = FEATURE_BY_FIELD["scheduler"]
     parser.add_argument(scheduler.flag, **{
         **scheduler.flag_kwargs,
         "action": "append",
@@ -514,33 +508,15 @@ def _cmd_infra(args, out) -> int:
     if telemetry is not None and args.server != "actix":
         out.write("note: --trace instruments only the actix server\n")
     try:
-        features = {
-            field: _FEATURES[field].parse(value)
-            for field, value in _given_features(args).items()
-        }
+        features = infra_test_features(args.server, **_given_features(args))
     except ValueError as error:
         raise SystemExit(str(error))
-    if args.server != "actix":
-        if "chaos" in features:
-            raise SystemExit("--chaos needs the actix server's fault hooks")
-        if "admission" in features or "fallback" in features:
-            raise SystemExit("--admission/--fallback are actix-server features")
-        if "cache" in features:
-            raise SystemExit("--cache is an actix-server feature")
-        if "sharding" in features and features["sharding"].enabled:
-            raise SystemExit("--shards is an actix-server feature")
-        if "retrieval" in features and features["retrieval"].enabled:
-            raise SystemExit("--retrieval is an actix-server feature")
-        if "tenants" in features and features["tenants"].enabled:
-            raise SystemExit("--tenants is an actix-server feature")
-    retry = features.pop("retry", None)
     result = run_infra_test(
         args.server,
         target_rps=args.rps,
         duration_s=args.duration,
         seed=args.seed,
         telemetry=telemetry,
-        retry_policy=retry,
         **features,
     )
     out.write(render_latency_series(result.series, args.server, every=20) + "\n")
@@ -549,7 +525,7 @@ def _cmd_infra(args, out) -> int:
         f"{result.errors} errors ({result.error_rate * 100:.1f}%), "
         f"p90={result.p90_ms:.2f} ms\n"
     )
-    if retry is not None or "chaos" in features:
+    if features["retry"] is not None or features["chaos"] is not None:
         out.write(
             f"  resilience: {result.retries} retries, {result.hedges} hedges, "
             f"{len(result.chaos_events)} chaos events\n"
@@ -605,8 +581,8 @@ def _cmd_run(args, out) -> int:
             if model is None and "tenants" in given:
                 # A fleet names its own models; the anchor defaults to the
                 # first primary tenant's.
-                fleet = _FEATURES["tenants"].parse(given["tenants"])
-                if fleet.enabled:
+                fleet = FEATURE_BY_FIELD["tenants"].coerce(given["tenants"])
+                if fleet is not None:
                     model = fleet.primaries[0].model
             for required, value in (
                 ("model", model), ("catalog", args.catalog), ("rps", args.rps),
@@ -799,16 +775,16 @@ def _cmd_drill(args, out) -> int:
 def _cmd_plan(args, out) -> int:
     try:
         cache, retrieval, tenants = (
-            None if getattr(args, field) is None
-            else _FEATURES[field].parse(getattr(args, field))
+            FEATURE_BY_FIELD[field].coerce(getattr(args, field))
             for field in ("cache", "retrieval", "tenants")
         )
         schedulers = [
-            _FEATURES["scheduler"].parse(text) for text in args.scheduler or ()
+            FEATURE_BY_FIELD["scheduler"].coerce(text)
+            for text in args.scheduler or ()
         ]
     except ValueError as error:
         raise SystemExit(str(error))
-    if tenants is not None and tenants.enabled:
+    if tenants is not None:
         # Bin-packing dimension: cheapest co-located fleet vs. the
         # standalone per-tenant baseline (docs/tenancy.md).
         from repro.core.report import render_fleet_plan
@@ -840,11 +816,7 @@ def _cmd_plan(args, out) -> int:
         )
     except ValueError:
         raise SystemExit(f"--shards must be comma-separated ints: {args.shards!r}")
-    retrieval_options = (
-        (None,)
-        if retrieval is None or not retrieval.enabled
-        else (None, retrieval)
-    )
+    retrieval_options = (None,) if retrieval is None else (None, retrieval)
     if args.survive_zones < 0:
         raise SystemExit("--survive-zones must be >= 0")
     planner = DeploymentPlanner(
@@ -856,7 +828,7 @@ def _cmd_plan(args, out) -> int:
         shard_counts=shard_counts or (1,),
         retrieval_options=retrieval_options,
         min_recall=args.min_recall,
-        scheduler_options=(None,) + tuple(c for c in schedulers if c.enabled),
+        scheduler_options=(None,) + tuple(c for c in schedulers if c is not None),
         survive_zones=args.survive_zones,
         backend=_parse_backend(args),
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.cluster.chaos import ChaosSchedule, ZoneOutage
 from repro.core.experiment import ExperimentRunner
 from repro.core.spec import SLO, ExperimentSpec
 from repro.metrics.results import RunResult
@@ -157,15 +158,18 @@ def run_failure_drill(
     if outage_at_s <= 0 or outage_at_s >= spec.duration_s:
         raise ValueError("outage_at_s must fall inside the run")
 
-    restart = (
-        f"restart={restart_after_s:g}"
-        if restart_after_s is not None
-        else "restart=none"
-    )
     zones = [f"z{index}" for index in range(zones_down)]
-    chaos = ",".join(
-        f"zone@{outage_at_s:g}:name={name}:{restart}" for name in zones
-    )
+    # Floats, as the chaos grammar would parse them, but never rounded.
+    chaos = ChaosSchedule(events=tuple(
+        ZoneOutage(
+            at_s=float(outage_at_s),
+            zone=name,
+            restart_after_s=(
+                None if restart_after_s is None else float(restart_after_s)
+            ),
+        )
+        for name in zones
+    ))
     drilled = replace(spec, chaos=chaos, collect_series=True)
     runner = runner or ExperimentRunner(seed=spec.seed)
     result = runner.run(drilled)

@@ -129,29 +129,21 @@ class ExperimentRunner:
         if telemetry is not None:
             telemetry.bind(simulator)
 
-        # Overload protection and the result cache ride on the server
-        # profile; None when no feature is enabled so the default path
-        # stays bit-identical.
-        server_profile = None
-        if (
-            spec.admission is not None
-            or spec.fallback is not None
-            or spec.cache is not None
-            or retrieval is not None
-        ):
-            retrieval_descriptor = None
-            if retrieval is not None:
-                # Resolve the auto nlist so server telemetry reports the
-                # index actually built, not the unexpanded spec.
-                retrieval_descriptor = replace(
-                    retrieval, nlist=assets.model.index.logical_nlist
-                )
-            server_profile = ActixProfile(
-                admission=spec.admission,
-                fallback=spec.fallback,
-                cache=spec.cache,
-                retrieval=retrieval_descriptor,
-            )
+        # Overload protection, the result cache and the ANN descriptor
+        # ride on the server profile; with all of them None it is the
+        # profile a server uses when given none.
+        server_profile = ActixProfile(
+            admission=spec.admission,
+            fallback=spec.fallback,
+            cache=spec.cache,
+            # Resolve the auto nlist so server telemetry reports the index
+            # actually built, not the unexpanded spec.
+            retrieval=(
+                None
+                if retrieval is None
+                else replace(retrieval, nlist=assets.model.index.logical_nlist)
+            ),
+        )
 
         # Catalog sharding: each pod hosts one catalog slice, so the
         # deployed profile / footprint / score traffic shrink to the
@@ -209,12 +201,6 @@ class ExperimentRunner:
         auxiliary = None
         batching = BatchingConfig()
         if scheduler is not None:
-            if sharding is not None:
-                raise DeploymentError(
-                    "the heterogeneous scheduler does not compose with "
-                    "catalog sharding: CPU pods must hold the full catalog "
-                    "to answer any request the dispatcher sends them"
-                )
             batching = BatchingConfig(
                 max_batch_size=scheduler.max_batch,
                 max_delay_s=scheduler.linger_s,
@@ -245,21 +231,6 @@ class ExperimentRunner:
         tenancy = spec.tenants
         tenant_servings: Optional[List[TenantServing]] = None
         if tenancy is not None:
-            if sharding is not None:
-                raise DeploymentError(
-                    "a tenant fleet does not compose with catalog sharding: "
-                    "every pod must host every tenant's full catalog"
-                )
-            if scheduler is not None:
-                raise DeploymentError(
-                    "a tenant fleet does not compose with the heterogeneous "
-                    "scheduler's auxiliary pool"
-                )
-            if retrieval is not None:
-                raise DeploymentError(
-                    "a tenant fleet does not compose with ANN retrieval: "
-                    "per-tenant index builds are not modeled"
-                )
             # Lazy import: placement reaches back into the planner (which
             # imports this module) for the standalone baseline.
             from repro.tenancy.placement import check_colocation
@@ -453,6 +424,15 @@ class ExperimentRunner:
         telemetry: Optional["Telemetry"] = None,
     ) -> RunResult:
         generator = state.get("generator")
+        service = state.get("service")
+        deployment = state.get("deployment")
+        # Current pod servers only: a restarted pod starts fresh counters,
+        # so what a crashed server tallied is not included.
+        servers = (
+            [pod.server for pod in deployment.pods if pod.server is not None]
+            if deployment is not None
+            else []
+        )
         series = LatencySeries.from_collector(collector)
         execution = assets.execution_effective
         if assets.jit_fell_back:
@@ -507,20 +487,6 @@ class ExperimentRunner:
             or spec.fallback is not None
         )
         if overload_on:
-            service = state.get("service")
-            deployment = state.get("deployment")
-            shed_deadline = shed_codel = shed_queue_full = degraded = 0
-            if deployment is not None:
-                # Current pod servers only: a restarted pod starts fresh
-                # counters, so pre-crash sheds are not included here.
-                for pod in deployment.pods:
-                    server = pod.server
-                    if server is None:
-                        continue
-                    shed_deadline += server.shed_deadline
-                    shed_codel += server.shed_codel
-                    shed_queue_full += server.shed_queue_full
-                    degraded += server.degraded_served
             result.overload = {
                 "slo_deadline_s": spec.slo_deadline_s,
                 "admission": (
@@ -538,10 +504,10 @@ class ExperimentRunner:
                     if spec.fallback is not None
                     else None
                 ),
-                "shed_deadline": shed_deadline,
-                "shed_codel": shed_codel,
-                "shed_queue_full": shed_queue_full,
-                "degraded_served": degraded,
+                "shed_deadline": sum(s.shed_deadline for s in servers),
+                "shed_codel": sum(s.shed_codel for s in servers),
+                "shed_queue_full": sum(s.shed_queue_full for s in servers),
+                "degraded_served": sum(s.degraded_served for s in servers),
                 "degraded_fraction": collector.degraded_fraction,
                 "ejections": service.ejections if service is not None else 0,
                 "probe_recoveries": (
@@ -551,21 +517,18 @@ class ExperimentRunner:
                 "p90_degraded_ms": collector.percentile_degraded_ms(90),
             }
         if spec.cache is not None:
-            deployment = state.get("deployment")
             tallies = {
                 "hits_local": 0, "hits_remote": 0, "misses": 0,
                 "fills": 0, "coalesced": 0, "evictions": 0, "expirations": 0,
             }
             remote_entries = None
-            if deployment is not None:
-                for pod in deployment.pods:
-                    server = pod.server
-                    if server is None or server.cache is None:
-                        continue
-                    for key, value in server.cache.stats().items():
-                        tallies[key] += value
-                    if server.cache.remote is not None:
-                        remote_entries = len(server.cache.remote)
+            for server in servers:
+                if server.cache is None:
+                    continue
+                for key, value in server.cache.stats().items():
+                    tallies[key] += value
+                if server.cache.remote is not None:
+                    remote_entries = len(server.cache.remote)
             lookups = tallies["hits_local"] + tallies["hits_remote"] + tallies["misses"]
             result.cache = {
                 "config": spec.cache.spec_string(),
@@ -581,7 +544,6 @@ class ExperimentRunner:
                 "p90_miss_ms": collector.percentile_miss_ms(90),
             }
         if spec.sharding is not None:
-            service = state.get("service")
             aggregator = service.aggregator if service is not None else None
             result.sharding = {
                 "config": spec.sharding.spec_string(),
@@ -598,35 +560,20 @@ class ExperimentRunner:
                 result.scheduler = runtime.summary()
         if spec.retrieval is not None:
             info = dict(state.get("retrieval") or {})
-            deployment = state.get("deployment")
-            ann_queries = ann_probed = 0
-            if deployment is not None:
-                for pod in deployment.pods:
-                    server = pod.server
-                    if server is None:
-                        continue
-                    ann_queries += getattr(server, "ann_queries", 0)
-                    ann_probed += getattr(server, "ann_probed_lists", 0)
-            info["ann_queries"] = ann_queries
-            info["ann_probed_lists"] = ann_probed
+            info["ann_queries"] = sum(s.ann_queries for s in servers)
+            info["ann_probed_lists"] = sum(s.ann_probed_lists for s in servers)
             result.retrieval = info
         if spec.zones > 1:
             result.availability = self._availability_section(spec, state)
         if spec.tenants is not None:
             splitter = state.get("splitter")
             if splitter is not None:
-                deployment = state.get("deployment")
                 shed_by_tenant: dict = {}
-                if deployment is not None:
-                    # Current pod servers only (restart caveat as above).
-                    for pod in deployment.pods:
-                        server = pod.server
-                        if server is None or server.tenants is None:
-                            continue
-                        for name, count in server.shed_by_tenant.items():
-                            shed_by_tenant[name] = (
-                                shed_by_tenant.get(name, 0) + count
-                            )
+                for server in servers:
+                    if server.tenants is None:
+                        continue
+                    for name, count in server.shed_by_tenant.items():
+                        shed_by_tenant[name] = shed_by_tenant.get(name, 0) + count
                 rollouts = [r.summary() for r in state.get("rollouts", [])]
                 result.tenancy = splitter.summary(
                     duration_s=spec.duration_s,

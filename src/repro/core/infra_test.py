@@ -12,26 +12,19 @@ inference server analogously."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.ann.config import RetrievalConfig
-from repro.cache.tier import CacheConfig
-from repro.cluster.chaos import ChaosSchedule
 from repro.core.registry import GLOBAL_REGISTRY, AssetRegistry
+from repro.core.spec import FEATURE_BY_FIELD, first_conflict
 from repro.hardware.device import DeviceModel
 from repro.loadgen.generator import LoadGenerator
-from repro.loadgen.retry import RetryPolicy
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.results import LatencySeries
 from repro.serving.actix import EtudeInferenceServer
-from repro.serving.admission import AdmissionPolicy
 from repro.serving.batching import BatchingConfig
-from repro.serving.fallback import FallbackConfig
 from repro.serving.profiles import ActixProfile
 from repro.serving.torchserve import TorchServeServer
-from repro.sharding.config import ShardingConfig
 from repro.sharding.gather import ScatterGatherAggregator
-from repro.tenancy.config import TenancyConfig
 from repro.tenancy.fleet import TenantServing
 from repro.tenancy.split import TrafficSplitter
 from repro.hardware.latency_model import NetworkHop
@@ -95,6 +88,52 @@ class InfraTestResult:
         return self.errors / self.total if self.total else 0.0
 
 
+#: The dimensions the infra test takes, by spec field name (FEATURES rows).
+INFRA_TEST_FEATURES = (
+    "retry", "chaos", "slo_deadline_s", "admission", "fallback", "cache",
+    "sharding", "retrieval", "tenants",
+)
+
+#: Dimensions only the Actix server implements, each with the message
+#: that rejects it on TorchServe (checked in this order).
+ACTIX_ONLY: Dict[str, str] = {
+    "chaos": "--chaos needs the actix server's fault hooks",
+    "admission": "--admission/--fallback are actix-server features",
+    "fallback": "--admission/--fallback are actix-server features",
+    "cache": "--cache is an actix-server feature",
+    "sharding": "--shards is an actix-server feature",
+    "retrieval": "--retrieval is an actix-server feature",
+    "tenants": "--tenants is an actix-server feature",
+}
+
+
+def infra_test_features(server_kind: str, **features: Any) -> Dict[str, Any]:
+    """Every :data:`INFRA_TEST_FEATURES` field, as a spec would store it.
+
+    ``features`` holds text or configs by spec field name. Raises
+    ValueError, before anything is built, for an unknown server or
+    dimension, a declared conflict or an :data:`ACTIX_ONLY` dimension on
+    TorchServe.
+    """
+    if server_kind not in ("torchserve", "actix"):
+        raise ValueError("server_kind must be 'torchserve' or 'actix'")
+    unknown = sorted(set(features) - set(INFRA_TEST_FEATURES))
+    if unknown:
+        raise ValueError(f"the infra test takes no {unknown} dimension")
+    values = {
+        field: FEATURE_BY_FIELD[field].coerce(features.get(field))
+        for field in INFRA_TEST_FEATURES
+    }
+    conflict = first_conflict(values)
+    if conflict is not None:
+        raise ValueError(conflict)
+    if server_kind != "actix":
+        for field, message in ACTIX_ONLY.items():
+            if values[field] is not None:
+                raise ValueError(message)
+    return values
+
+
 def run_infra_test(
     server_kind: str,
     target_rps: int = 1000,
@@ -102,57 +141,26 @@ def run_infra_test(
     seed: int = 1234,
     registry: Optional[AssetRegistry] = None,
     telemetry: Optional["Telemetry"] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    chaos: Optional[ChaosSchedule] = None,
-    slo_deadline_s: Optional[float] = None,
-    admission: Optional[AdmissionPolicy] = None,
-    fallback: Optional[FallbackConfig] = None,
-    cache: Optional[CacheConfig] = None,
-    sharding: Optional[ShardingConfig] = None,
-    retrieval: Optional[RetrievalConfig] = None,
-    tenants: Optional[TenancyConfig] = None,
+    **features: Any,
 ) -> InfraTestResult:
     """Run the no-inference serving test with one of the two stacks.
 
     ``telemetry`` (optional) records spans + metrics for the run; only the
     Actix stack is instrumented (see ``docs/observability.md``).
-    ``retry_policy`` enables client retries/hedging; ``chaos`` injects
-    faults against the single bare server (crashes recover in place).
-    ``slo_deadline_s`` stamps each request with a deadline; ``admission``
-    and ``fallback`` configure the Actix server's overload protection
-    (see ``docs/overload.md``); ``cache`` configures its session-prefix
-    result cache (see ``docs/caching.md``); ``retrieval`` stamps the ANN
-    retrieval descriptor on it (the no-op model does no scoring, so this
-    exercises only the per-request bookkeeping — see ``docs/retrieval.md``).
-    ``tenants`` splits the client stream across a tenant fleet on the
-    single bare server — every tenant serves the no-op profile, so this
-    validates routing proportions, per-tenant deadlines and weighted-fair
-    shedding without model inference (see ``docs/tenancy.md``).
+    ``features`` are :data:`INFRA_TEST_FEATURES` dimensions, named and
+    valued as on :class:`~repro.core.spec.ExperimentSpec`. ``chaos``
+    targets the single bare server (crashes recover in place);
+    ``sharding`` puts one bare server per shard behind a scatter-gather
+    front; ``retrieval`` only stamps the ANN descriptor on the server
+    (the no-op model does no scoring); ``tenants`` splits the client
+    stream across a fleet whose tenants all serve the no-op profile, so
+    it validates routing, per-tenant deadlines and weighted-fair shedding
+    without model inference (``docs/tenancy.md``).
     """
-    if server_kind not in ("torchserve", "actix"):
-        raise ValueError("server_kind must be 'torchserve' or 'actix'")
-    if chaos is not None and server_kind != "actix":
-        raise ValueError(
-            "chaos injection needs the actix server's crash/slowdown hooks"
-        )
-    if (admission is not None or fallback is not None) and server_kind != "actix":
-        raise ValueError(
-            "admission control / fallback are Actix-server features"
-        )
-    if cache is not None and server_kind != "actix":
-        raise ValueError("the result cache is an Actix-server feature")
-    if sharding is not None and sharding.enabled and server_kind != "actix":
-        raise ValueError("catalog sharding is an Actix-server feature")
-    if retrieval is not None and retrieval.enabled and server_kind != "actix":
-        raise ValueError("ANN retrieval is an Actix-server feature")
-    if retrieval is not None and not retrieval.enabled:
-        retrieval = None
-    if tenants is not None and not tenants.enabled:
-        tenants = None
-    if tenants is not None and server_kind != "actix":
-        raise ValueError("tenant fleets are an Actix-server feature")
-    if tenants is not None and sharding is not None and sharding.enabled:
-        raise ValueError("a tenant fleet does not compose with sharding")
+    (  # In INFRA_TEST_FEATURES order.
+        retry, chaos, slo_deadline_s, admission, fallback, cache, sharding,
+        retrieval, tenants,
+    ) = infra_test_features(server_kind, **features).values()
     registry = registry or GLOBAL_REGISTRY
     assets = registry.assets("noop", 1, INFRA_TEST_DEVICE, "eager", top_k=1)
 
@@ -172,20 +180,10 @@ def run_infra_test(
         servers = [server]
         submit_target = server.submit
     else:
-        server_profile = None
-        if (
-            admission is not None
-            or fallback is not None
-            or cache is not None
-            or retrieval is not None
-        ):
-            server_profile = ActixProfile(
-                admission=admission,
-                fallback=fallback,
-                cache=cache,
-                retrieval=retrieval,
-            )
-        if sharding is not None and sharding.enabled:
+        server_profile = ActixProfile(
+            admission=admission, fallback=fallback, cache=cache, retrieval=retrieval
+        )
+        if sharding is not None:
             # One bare server per shard behind a scatter-gather front;
             # the aggregator charges the fan-out network legs and the
             # merge cost (the figure-2 single-server path has no legs).
@@ -268,10 +266,8 @@ def run_infra_test(
         duration_s=duration_s,
         collector=collector,
         telemetry=telemetry,
-        retry_policy=retry_policy,
-        retry_rng=(
-            streams.stream("retry") if retry_policy is not None else None
-        ),
+        retry_policy=retry,
+        retry_rng=streams.stream("retry") if retry is not None else None,
         slo_deadline_s=slo_deadline_s,
     )
     generator.start()
@@ -306,13 +302,10 @@ def run_infra_test(
         }
 
     cache_section = None
-    server_caches = [
-        c for c in (getattr(s, "cache", None) for s in servers) if c is not None
-    ]
-    if cache is not None and cache.enabled and server_caches:
+    if cache is not None:
         stats: Dict[str, int] = {}
-        for server_cache in server_caches:
-            for key, value in server_cache.stats().items():
+        for server in servers:
+            for key, value in server.cache.stats().items():
                 stats[key] = stats.get(key, 0) + value
         hits = stats.get("hits_local", 0) + stats.get("hits_remote", 0)
         lookups = hits + stats.get("misses", 0)

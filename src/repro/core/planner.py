@@ -22,7 +22,14 @@ from repro.cache.planning import estimate_hit_rate
 from repro.cache.tier import CacheConfig
 from repro.cluster.kubernetes import DeploymentError
 from repro.core.experiment import ExperimentRunner
-from repro.core.spec import SLO, ExperimentSpec, HardwareSpec, Scenario
+from repro.core.spec import (
+    FEATURE_BY_FIELD,
+    SLO,
+    ExperimentSpec,
+    HardwareSpec,
+    Scenario,
+    first_conflict,
+)
 from repro.exec.backend import ExecTask, make_backend
 from repro.hardware.instances import INSTANCE_TYPES, InstanceType, instance_by_name
 from repro.metrics.results import RunResult
@@ -158,8 +165,9 @@ class DeploymentPlanner:
         self.max_replicas = max_replicas
         self.repetitions = repetitions
         #: Optional result cache deployed with every candidate (None =
-        #: plan the paper's cache-less serving stack).
-        self.cache = cache
+        #: plan the paper's cache-less serving stack; an off config is
+        #: stored as None).
+        self.cache = FEATURE_BY_FIELD["cache"].coerce(cache)
         #: Catalog-shard counts to evaluate per instance type ((1,) =
         #: the paper's unsharded serving). Each S > 1 candidate runs
         #: ``replicas`` pods per shard and pays for all of them.
@@ -173,7 +181,7 @@ class DeploymentPlanner:
         #: deployment with recall >= R and p90 <= SLO", never trading
         #: unbounded quality for cost.
         self.retrieval_options = tuple(
-            option if option is not None and option.enabled else None
+            FEATURE_BY_FIELD["retrieval"].coerce(option)
             for option in retrieval_options
         )
         if not self.retrieval_options:
@@ -186,7 +194,7 @@ class DeploymentPlanner:
         #: them, letting the plan discover when a mixed fleet undercuts a
         #: homogeneous one.
         self.scheduler_options = tuple(
-            option if option is not None and option.enabled else None
+            FEATURE_BY_FIELD["scheduler"].coerce(option)
             for option in scheduler_options
         )
         if not self.scheduler_options:
@@ -221,7 +229,7 @@ class DeploymentPlanner:
         workload- and cache-shaped, not instance-shaped, so one replay
         serves every instance type and replica count.
         """
-        if self.cache is None or not self.cache.enabled:
+        if self.cache is None:
             return 0.0
         memo_key = (scenario.catalog_size, scenario.target_rps)
         if memo_key not in self._hit_rate_memo:
@@ -531,18 +539,21 @@ class DeploymentPlanner:
                 )
         if scheduler is not None:
             key = f"{key} {{{scheduler.spec_string()}}}"
-            if shards > 1:
-                # Structural non-composition, not a scenario property —
-                # skip quietly.
-                return CandidateOutcome(key=key, skipped=True)
-            if not instance.device.is_accelerator:
-                return CandidateOutcome(
-                    key=key,
-                    infeasible=(
-                        "heterogeneous scheduler needs an "
-                        "accelerator primary fleet"
-                    ),
-                )
+        dimensions = {
+            "sharding": shards if shards > 1 else None,
+            "retrieval": retrieval,
+            "scheduler": scheduler,
+        }
+        if first_conflict(dimensions) is not None:
+            # A declared conflict, not a scenario property — skip quietly.
+            return CandidateOutcome(key=key, skipped=True)
+        if scheduler is not None and not instance.device.is_accelerator:
+            return CandidateOutcome(
+                key=key,
+                infeasible=(
+                    "heterogeneous scheduler needs an accelerator primary fleet"
+                ),
+            )
         option = self.min_feasible_replicas(
             model, scenario, instance, shards, retrieval, scheduler
         )

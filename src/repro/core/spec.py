@@ -7,7 +7,9 @@ five end-to-end use-case scenarios of Table I.
 
 :data:`FEATURES` lists the spec's optional dimensions once; the spec's own
 coercion, the spec-file format (``specfile.py``) and the command-line flags
-(``cli.py``) are all derived from it.
+(``cli.py``) are all derived from it. :data:`CONFLICTS` lists the pairs of
+dimensions that cannot be deployed together; a spec that sets both sides
+of one is rejected when it is built.
 """
 
 from __future__ import annotations
@@ -127,20 +129,16 @@ class ExperimentSpec:
             raise ValueError("execution must be 'jit', 'eager' or 'onnx'")
         if self.catalog_size < 1 or self.target_rps < 1:
             raise ValueError("catalog_size and target_rps must be positive")
-        if isinstance(self.sharding, int) and not isinstance(self.sharding, bool):
-            object.__setattr__(self, "sharding", ShardingConfig(shards=self.sharding))
         for feature in FEATURES:
-            value = getattr(self, feature.field)
-            if isinstance(value, str):
-                value = feature.parse(value)
-            if not getattr(value, "enabled", True):
-                # A config's off state is stored as no config at all.
-                value = None
+            value = feature.coerce(getattr(self, feature.field))
             object.__setattr__(self, feature.field, value)
         if self.zones < 1:
             raise ValueError("zones must be >= 1")
         if self.slo_deadline_s is not None and self.slo_deadline_s <= 0:
             raise ValueError("slo_deadline_s must be positive")
+        conflict = first_conflict(vars(self))
+        if conflict is not None:
+            raise ValueError(conflict)
 
     def workload_statistics(self) -> WorkloadStatistics:
         """The provided statistics, or the bol.com-like defaults."""
@@ -169,6 +167,26 @@ class Feature:
     parse: Callable[[str], Any]
     #: The flag's ``argparse`` keyword arguments.
     flag_kwargs: Mapping[str, Any]
+    #: Bare int -> value, for a dimension that also takes a plain count
+    #: (the shard count); None elsewhere.
+    from_int: Optional[Callable[[int], Any]] = None
+
+    def coerce(self, value: Any) -> Any:
+        """The value a spec stores for this dimension.
+
+        Text goes through :attr:`parse` (a bare int through
+        :attr:`from_int`), and a config in its off state (``enabled``
+        false) becomes None, so no runner ever sees a disabled config.
+        """
+        if isinstance(value, str):
+            value = self.parse(value)
+        elif (
+            self.from_int is not None
+            and isinstance(value, int)
+            and not isinstance(value, bool)
+        ):
+            value = self.from_int(value)
+        return value if getattr(value, "enabled", True) else None
 
 
 #: Every optional dimension, in the order the ``run`` command lists its flags.
@@ -218,7 +236,7 @@ FEATURES: Tuple[Feature, ...] = (
         help="catalog sharding with scatter-gather top-k; SPEC like "
         "'4' or '4,partial=off' (replica counts are then per shard; "
         "S=1 is the unsharded baseline)",
-    )),
+    ), from_int=ShardingConfig),
     Feature("retrieval", "retrieval", "--retrieval", RetrievalConfig.parse, dict(
         nargs="?", const="ivf", default=None, metavar="SPEC",
         help="ANN candidate retrieval instead of the exact catalog scan; "
@@ -249,6 +267,38 @@ FEATURES: Tuple[Feature, ...] = (
         "(default: single-model serving)",
     )),
 )
+
+
+#: The FEATURES rows by spec field.
+FEATURE_BY_FIELD: Mapping[str, Feature] = {f.field: f for f in FEATURES}
+
+
+#: Pairs of dimensions that cannot be deployed together, each with the
+#: message that rejects a spec setting both, in the order they are checked.
+CONFLICTS: Tuple[Tuple[str, str, str], ...] = (
+    ("scheduler", "sharding",
+     "the heterogeneous scheduler does not compose with catalog sharding: "
+     "CPU pods must hold the full catalog to answer any request the "
+     "dispatcher sends them"),
+    ("tenants", "sharding",
+     "a tenant fleet does not compose with catalog sharding: every pod "
+     "must host every tenant's full catalog"),
+    ("tenants", "scheduler",
+     "a tenant fleet does not compose with the heterogeneous scheduler's "
+     "auxiliary pool"),
+    ("tenants", "retrieval",
+     "a tenant fleet does not compose with ANN retrieval: per-tenant "
+     "index builds are not modeled"),
+)
+
+
+def first_conflict(values: Mapping[str, Any]) -> Optional[str]:
+    """The message of the first CONFLICTS pair ``values`` sets both sides
+    of (a field that is absent or None is unset), or None."""
+    for first, second, message in CONFLICTS:
+        if values.get(first) is not None and values.get(second) is not None:
+            return message
+    return None
 
 
 @dataclass(frozen=True)

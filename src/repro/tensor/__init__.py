@@ -48,8 +48,8 @@ from repro.tensor.jit import (
 from repro.tensor.serialization import load_module_state, save_module_state
 from repro.tensor.quantization import QuantizedCatalogEmbedding, quantize_model
 
-# repro.tensor.profiler and repro.tensor.trace_diff depend on
-# repro.hardware (which imports this package): import them directly, e.g.
+# repro.tensor.profiler depends on repro.hardware (which imports this
+# package): import it directly, e.g.
 # ``from repro.tensor.profiler import profile_model``.
 
 __all__ = [

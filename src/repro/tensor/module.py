@@ -46,10 +46,6 @@ class Module:
             self.__dict__.setdefault("_modules", {})[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Parameter) -> None:
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-
     # -- iteration --------------------------------------------------------------
 
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:

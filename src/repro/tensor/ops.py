@@ -162,10 +162,6 @@ def set_graph_builder(builder) -> None:
     _GRAPH_BUILDER = builder
 
 
-def graph_builder():
-    return _GRAPH_BUILDER
-
-
 def is_capturing() -> bool:
     return _GRAPH_BUILDER is not None
 

@@ -1,7 +1,6 @@
-"""The recommendation cache end to end: spec wiring, the disabled-path
-determinism contract, singleflight coalescing on the GPU batch path,
-hit correctness against the real model, and the measurable win on a
-high-skew workload."""
+"""The recommendation cache end to end: spec wiring, singleflight
+coalescing on the GPU batch path, hit correctness against the real
+model, and the measurable win on a high-skew workload."""
 
 import numpy as np
 import pytest
@@ -65,32 +64,6 @@ class TestSpecWiring:
     def test_plain_run_has_no_cache_section(self):
         result = ExperimentRunner(seed=22).run(spec(duration_s=10.0))
         assert result.cache is None
-
-
-class TestDisabledCacheDeterminism:
-    """A run with no cache and a run with a configured-but-zero-capacity
-    cache must be bit-identical — latencies and recommendations — on both
-    the CPU and the GPU path (same contract as admission/fallback)."""
-
-    def _fingerprint(self, result):
-        return (
-            result.total_requests, result.ok_requests, result.error_requests,
-            result.p50_ms, result.p90_ms, result.p99_ms,
-            tuple(result.series.p90_ms), tuple(result.series.ok),
-        )
-
-    @pytest.mark.parametrize("instance", ["CPU", "GPU-T4"])
-    def test_zero_capacity_cache_is_bit_identical(self, instance):
-        base = spec(hardware=HardwareSpec(instance, 1), duration_s=15.0)
-        baseline = ExperimentRunner(seed=33).run(base)
-        disabled = ExperimentRunner(seed=33).run(
-            spec(
-                hardware=HardwareSpec(instance, 1), duration_s=15.0,
-                cache=CacheConfig(capacity=0, remote_capacity=0),
-            )
-        )
-        assert self._fingerprint(disabled) == self._fingerprint(baseline)
-        assert disabled.cache is None  # disabled cache reports nothing
 
 
 class TestSingleflightCoalescing:

@@ -75,8 +75,8 @@ class TestHelpSnapshots:
 
 RUN = ["run", "--model", "stamp", "--catalog", "1000", "--rps", "10"]
 
-#: The spec file every override case starts from: each dimension set.
-SPEC_DOCUMENT = {
+#: What every spec file below sets: the dimensions that compose with all.
+COMMON = {
     "model": "stamp",
     "catalog_size": 1000,
     "target_rps": 10,
@@ -88,12 +88,24 @@ SPEC_DOCUMENT = {
     "fallback": "topk=3",
     "routing": "rr,eject=2",
     "cache": "lru,capacity=16",
-    "shards": "2",
-    "retrieval": "ivf:nlist=4",
-    "scheduler": "cpu=1",
     "zones": 2,
-    "tenants": "a=stamp:1",
 }
+
+#: The spec files the override cases start from. Together they set every
+#: dimension, each file as many as compose (repro.core.spec.CONFLICTS).
+SPEC_DOCUMENTS = {
+    "sharded": {**COMMON, "shards": "2", "retrieval": "ivf:nlist=4"},
+    "scheduler": {**COMMON, "retrieval": "ivf:nlist=4", "scheduler": "cpu=1"},
+    "fleet": {**COMMON, "tenants": "a=stamp:1"},
+}
+
+
+def document_for(field):
+    """The spec file that an override of ``field`` composes with."""
+    return SPEC_DOCUMENTS[{"scheduler": "scheduler", "tenants": "fleet"}.get(
+        field, "sharded"
+    )]
+
 
 #: (flags, spec field, the value ExperimentSpec is built from).
 OVERRIDES = [
@@ -123,8 +135,8 @@ class TestFlagsOverrideSpecFile:
     @pytest.mark.parametrize("flags, field, value", OVERRIDES)
     def test_flag_overrides_spec_file(self, flags, field, value, recorded, tmp_path):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(SPEC_DOCUMENT))
-        from_file, _slo = spec_from_dict(SPEC_DOCUMENT)
+        path.write_text(json.dumps(document_for(field)))
+        from_file, _slo = spec_from_dict(document_for(field))
         with pytest.raises(_Stop):
             repro.cli.main(["run", "--spec", str(path)] + flags)
         assert recorded == [replace(from_file, **{field: value})]
@@ -150,10 +162,13 @@ class TestFlagsOverrideSpecFile:
 
     def test_no_flags_keep_the_spec_file(self, recorded, tmp_path):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(SPEC_DOCUMENT))
-        with pytest.raises(_Stop):
-            repro.cli.main(["run", "--spec", str(path)])
-        assert recorded == [spec_from_dict(SPEC_DOCUMENT)[0]]
+        for document in SPEC_DOCUMENTS.values():
+            path.write_text(json.dumps(document))
+            with pytest.raises(_Stop):
+                repro.cli.main(["run", "--spec", str(path)])
+        assert recorded == [
+            spec_from_dict(document)[0] for document in SPEC_DOCUMENTS.values()
+        ]
 
 
 INFRA = ["infra-test"]
@@ -222,7 +237,7 @@ ACTIX_GUARDS = [
     (["--admission"], "--admission/--fallback are actix-server features"),
     (["--fallback"], "--admission/--fallback are actix-server features"),
     (["--cache"], "--cache is an actix-server feature"),
-    (["--cache", "capacity=0"], "--cache is an actix-server feature"),
+    (["--cache", "lru,capacity=16"], "--cache is an actix-server feature"),
     (["--shards", "2"], "--shards is an actix-server feature"),
     (["--retrieval"], "--retrieval is an actix-server feature"),
     (["--tenants", "a=stamp:1"], "--tenants is an actix-server feature"),
@@ -238,8 +253,8 @@ class TestInfraActixGuards:
         out = io.StringIO()
         code = repro.cli.main(
             ["infra-test", "--server", "torchserve", "--rps", "10",
-             "--duration", "1", "--shards", "1", "--retrieval", "exact",
-             "--tenants", ""],
+             "--duration", "1", "--cache", "capacity=0", "--shards", "1",
+             "--retrieval", "exact", "--tenants", ""],
             out=out,
         )
         assert code == 0
@@ -299,6 +314,36 @@ class TestSpecLevelErrorsExitCleanly:
                       "--rps", "10", "--replicas", "0"),
             "replicas must be >= 1",
         )
+
+    def test_conflicting_run_flags(self):
+        self.assert_exits(
+            run_repro(*RUN, "--scheduler", "cpu=1", "--shards", "2"),
+            "the heterogeneous scheduler does not compose with catalog "
+            "sharding: CPU pods must hold the full catalog to answer any "
+            "request the dispatcher sends them",
+        )
+
+    def test_conflicting_infra_test_flags(self):
+        self.assert_exits(
+            run_repro("infra-test", "--tenants", "a=stamp:1", "--shards", "2"),
+            "a tenant fleet does not compose with catalog sharding: every "
+            "pod must host every tenant's full catalog",
+        )
+
+    def test_conflicting_job_stops_the_file_before_its_first_job(self, tmp_path):
+        path = tmp_path / "jobs.json"
+        job = {"model": "stamp", "catalog_size": 1000, "target_rps": 10,
+               "duration_s": 5}
+        path.write_text(json.dumps(
+            [job, {**job, "tenants": "a=stamp:1", "retrieval": "ivf"}]
+        ))
+        completed = run_repro("run", "--spec", str(path))
+        self.assert_exits(
+            completed,
+            "a tenant fleet does not compose with ANN retrieval: per-tenant "
+            "index builds are not modeled",
+        )
+        assert completed.stdout == ""
 
     def test_unreadable_spec_path(self, tmp_path):
         path = str(tmp_path / "missing.json")

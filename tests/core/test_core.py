@@ -185,3 +185,17 @@ class TestInfraTest:
     def test_unknown_server_kind(self):
         with pytest.raises(ValueError):
             run_infra_test("flask")
+
+    def test_unknown_dimension_is_rejected_not_ignored(self):
+        with pytest.raises(
+            ValueError, match=r"^the infra test takes no \['retry_policy'\] dimension$"
+        ):
+            run_infra_test("actix", retry_policy="max=2")
+
+    def test_dimensions_accept_text(self):
+        from_text = run_infra_test(
+            "actix", target_rps=50, duration_s=2.0, retry="max=2",
+            cache="capacity=8", sharding="2",
+        )
+        assert from_text.sharding["config"] == "2"
+        assert from_text.cache["config"] == "lru,capacity=8"

@@ -2,10 +2,11 @@
 
 For each row: its text coerces to the config, a config passes through
 as itself, the spec file round-trips it, an unset dimension stays out of
-the written document, and each off value is stored as None.
+the written document, and each off value is stored as None. Each
+CONFLICTS pair is rejected when a spec is built, with its message.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.ann.config import RetrievalConfig
 from repro.cache.tier import CacheConfig
 from repro.cluster.chaos import ChaosSchedule, PodCrash
 from repro.cluster.routing import RoutingPolicy
-from repro.core.spec import FEATURES, ExperimentSpec, HardwareSpec
+from repro.core.spec import CONFLICTS, FEATURES, ExperimentSpec, HardwareSpec
 from repro.core.specfile import spec_from_dict, spec_to_dict
 from repro.loadgen.retry import RetryPolicy
 from repro.scheduler.config import SchedulerConfig
@@ -164,8 +165,69 @@ class TestEveryDimension:
         assert getattr(off, field) is None
         assert off == spec()
 
+    def test_single_zone_is_the_default_spec(self):
+        assert spec(zones=1) == spec()
+
     def test_bare_int_is_a_shard_count(self):
         assert spec(sharding=4).sharding == ShardingConfig(shards=4)
 
     def test_single_zone_is_left_out(self):
         assert "zones" not in spec_to_dict(spec(zones=1))
+
+
+#: Each declared conflict, in check order, with the exact message that
+#: rejects it (user-facing text: a change to it is a change of interface).
+MESSAGES = {
+    ("scheduler", "sharding"):
+        "the heterogeneous scheduler does not compose with catalog sharding: "
+        "CPU pods must hold the full catalog to answer any request the "
+        "dispatcher sends them",
+    ("tenants", "sharding"):
+        "a tenant fleet does not compose with catalog sharding: every pod "
+        "must host every tenant's full catalog",
+    ("tenants", "scheduler"):
+        "a tenant fleet does not compose with the heterogeneous scheduler's "
+        "auxiliary pool",
+    ("tenants", "retrieval"):
+        "a tenant fleet does not compose with ANN retrieval: per-tenant "
+        "index builds are not modeled",
+}
+
+#: A value that turns on each dimension a conflict names.
+ON = {"scheduler": "cpu=1", "sharding": "2", "tenants": "a=stamp:1",
+      "retrieval": "ivf"}
+
+#: An off value of each of those dimensions.
+OFF = {"scheduler": "off", "sharding": 1, "tenants": "", "retrieval": "exact"}
+
+
+class TestConflicts:
+    def test_table_holds_the_pairs_in_order(self):
+        assert [(first, second) for first, second, _m in CONFLICTS] == list(
+            MESSAGES
+        )
+
+    @pytest.mark.parametrize(
+        "first, second, message", CONFLICTS,
+        ids=[f"{a}-{b}" for a, b, _m in CONFLICTS],
+    )
+    def test_spec_build_and_replace_reject_the_pair(self, first, second, message):
+        assert message == MESSAGES[first, second]
+        with pytest.raises(ValueError) as built:
+            spec(**{first: ON[first], second: ON[second]})
+        assert str(built.value) == message
+        with pytest.raises(ValueError) as replaced:
+            replace(spec(**{first: ON[first]}), **{second: ON[second]})
+        assert str(replaced.value) == message
+
+    @pytest.mark.parametrize(
+        "first, second, _message", CONFLICTS,
+        ids=[f"{a}-{b}" for a, b, _m in CONFLICTS],
+    )
+    def test_an_off_side_does_not_conflict(self, first, second, _message):
+        assert spec(**{first: ON[first], second: OFF[second]}) == spec(
+            **{first: ON[first]}
+        )
+        assert spec(**{first: OFF[first], second: ON[second]}) == spec(
+            **{second: ON[second]}
+        )

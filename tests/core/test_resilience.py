@@ -107,7 +107,7 @@ class TestInfraTestResilience:
 
         result = run_infra_test(
             "actix", target_rps=200, duration_s=30.0, seed=5,
-            retry_policy=RetryPolicy.parse("max=6,base=0.5,cap=4"),
+            retry=RetryPolicy.parse("max=6,base=0.5,cap=4"),
             chaos=ChaosSchedule.parse("crash@10:restart=5"),
         )
         assert [e["kind"] for e in result.chaos_events] == ["crash"]

@@ -1,36 +1,56 @@
-"""Golden digests of traced runs: every recorded span and the stage
-breakdown, byte for byte.
+"""Golden digests of short runs: every recorded span, the stage breakdown,
+the run result and the infra-test result, byte for byte.
 
-Three short runs (a sharded, cached T4 fleet; one T4; one CPU) cover every
-span site of the default, sharding and cache paths. Each stores the sha256
-of ``trace_to_json(telemetry.trace)`` and of the JSON of
-``stage_breakdown(...).to_dict()`` in ``trace_digests.json``. A change to
-how spans are recorded or attributed must leave both digests unchanged.
+Three groups of runs, each a few virtual seconds past provisioning:
 
-After an intended change to what a run records, rewrite the digests from
-the repository root with::
+- ``SCENARIOS`` (a sharded, cached T4 fleet; one T4; one CPU) cover every
+  span site of the default, sharding and cache paths. Each stores the
+  sha256 of ``trace_to_json(telemetry.trace)`` and of the JSON of
+  ``stage_breakdown(...).to_dict()``. The two default runs also report
+  no feature section at all.
+- ``RUNS`` holds one run per family of opt-in dimensions: overload
+  protection, sharding across zones with a zone outage, retries and a
+  two-tier cache, ANN retrieval, the heterogeneous scheduler, and a
+  tenant fleet. Each stores the sha256 of an untraced run's
+  ``RunResult.to_json()`` and of a traced run's trace. The traced run's
+  result, without its ``stage_breakdown``, hashes the same as the
+  untraced one.
+- ``INFRA_TESTS`` holds four ``run_infra_test`` runs. Each stores the
+  sha256 of ``json.dumps(dataclasses.asdict(result))``.
+
+A change that means to move no simulated number must leave every digest
+in ``trace_digests.json`` unchanged. After an intended change to what a
+run records, rewrite the file from the repository root with::
 
     PYTHONPATH=src python -c "import json; from tests.golden.test_trace_digests import digests; open('tests/golden/trace_digests.json', 'w').write(json.dumps(digests(), indent=2) + '\\n')"
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict
+from typing import Any, Callable, Dict, Tuple
 
 import pytest
 
+from repro.ann.config import RetrievalConfig
 from repro.cache.tier import CacheConfig
 from repro.core.experiment import ExperimentRunner
+from repro.core.infra_test import run_infra_test
 from repro.core.registry import AssetRegistry
 from repro.core.spec import ExperimentSpec, HardwareSpec
+from repro.loadgen.retry import RetryPolicy
 from repro.obs import Telemetry
 from repro.obs.export import stage_breakdown, trace_to_json
+from repro.serving.admission import AdmissionPolicy
+from repro.serving.fallback import FallbackConfig
+from repro.sharding.config import ShardingConfig
+from repro.tenancy.config import TenancyConfig
 
 DIGESTS = Path(__file__).with_name("trace_digests.json")
 RUNNER_SEED = 11
 
-#: A few virtual seconds each, past the ~70 s of provisioning.
+#: Traced runs whose spans and stage breakdown are pinned.
 SCENARIOS: Dict[str, ExperimentSpec] = {
     "t4-sharded-cached": ExperimentSpec(
         "gru4rec", 20_000, 300, HardwareSpec("GPU-T4", 2),
@@ -45,17 +65,82 @@ SCENARIOS: Dict[str, ExperimentSpec] = {
     ),
 }
 
+#: One run per dimension family; its result and its trace are pinned.
+RUNS: Dict[str, ExperimentSpec] = {
+    # 8k rps on one CPU pod: the deadline sheds to the fallback tier.
+    "overload": ExperimentSpec(
+        "gru4rec", 100_000, 8_000, HardwareSpec("CPU", 1),
+        duration_s=4.0, seed=3, slo_deadline_s=0.05,
+        admission="fifo,slack=0.01", fallback="", routing="lor,eject=3",
+    ),
+    # Zone z0 holds shard 0's only replica: from 2 s on, fan-outs fail
+    # and the client retries them.
+    "sharded-zones-chaos": ExperimentSpec(
+        "gru4rec", 20_000, 300, HardwareSpec("GPU-T4", 1),
+        duration_s=4.0, seed=3, sharding="2,partial=off", zones=2,
+        chaos="zone@2:name=z0:restart=2", retry="max=2,base=0.05",
+        cache="capacity=1024,remote=2048",
+    ),
+    "ivf": ExperimentSpec(
+        "gru4rec", 20_000, 300, HardwareSpec("GPU-T4", 1),
+        duration_s=4.0, seed=3, retrieval="ivf:nlist=32,nprobe=8",
+    ),
+    "scheduler": ExperimentSpec(
+        "gru4rec", 20_000, 300, HardwareSpec("GPU-T4", 1),
+        duration_s=4.0, seed=3, scheduler="cpu=1,epoch=1,target=20",
+    ),
+    "tenants": ExperimentSpec(
+        "stamp", 20_000, 100, HardwareSpec("CPU", 2), duration_s=4.0, seed=3,
+        tenants="home=stamp:3,slo=200,rollout=1;"
+        "search=stamp:1,canary=0.25;mirror=stamp:0.2,shadow",
+    ),
+}
+
+#: Keyword arguments of ``run_infra_test`` besides the registry.
+INFRA_TESTS: Dict[str, Dict] = {
+    "infra-actix-overload-cache-ivf": dict(
+        server_kind="actix", target_rps=8_000, duration_s=3.0, seed=7,
+        slo_deadline_s=0.05, admission=AdmissionPolicy(slack_s=0.01),
+        fallback=FallbackConfig(), cache=CacheConfig(capacity=256),
+        retrieval=RetrievalConfig(kind="ivf", nlist=32, nprobe=8),
+    ),
+    "infra-actix-sharded": dict(
+        server_kind="actix", target_rps=150, duration_s=3.0, seed=5,
+        sharding=ShardingConfig(shards=4),
+    ),
+    "infra-actix-tenants": dict(
+        server_kind="actix", target_rps=300, duration_s=3.0, seed=7,
+        tenants=TenancyConfig.parse(
+            "a=noop:3,slo=50;b=noop:1,canary=0.25;m=noop:0.2,shadow"
+        ),
+    ),
+    "infra-torchserve-retry": dict(
+        server_kind="torchserve", target_rps=1_000, duration_s=3.0, seed=7,
+        retry=RetryPolicy(max_retries=2),
+    ),
+}
+
+#: RunResult sections that only an opt-in dimension fills.
+FEATURE_SECTIONS = (
+    "resilience", "overload", "cache", "sharding", "retrieval", "scheduler",
+    "availability", "tenancy",
+)
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str, str]:
-    """The trace and breakdown digests of one traced run of ``spec``."""
-    telemetry = Telemetry()
-    ExperimentRunner(registry=registry, seed=RUNNER_SEED).run(
+def _run(spec: ExperimentSpec, registry: AssetRegistry, telemetry=None):
+    return ExperimentRunner(registry=registry, seed=RUNNER_SEED).run(
         spec, telemetry=telemetry
     )
+
+
+def trace_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str, str]:
+    """The trace and breakdown digests of one traced run of ``spec``."""
+    telemetry = Telemetry()
+    _run(spec, registry, telemetry)
     return {
         "trace": _sha256(trace_to_json(telemetry.trace)),
         "stage_breakdown": _sha256(
@@ -64,10 +149,41 @@ def run_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str, str]
     }
 
 
+def run_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str, str]:
+    """The untraced result's digest, and the traced run's trace digest.
+
+    Raises AssertionError when the traced result, without its stage
+    breakdown, differs from the untraced one.
+    """
+    result = _run(spec, registry).to_json()
+    telemetry = Telemetry()
+    traced = _run(spec, registry, telemetry)
+    assert traced.stage_breakdown is not None
+    untraced_view = dataclasses.replace(traced, stage_breakdown=None).to_json()
+    assert _sha256(untraced_view) == _sha256(result)
+    return {
+        "result": _sha256(result),
+        "trace": _sha256(trace_to_json(telemetry.trace)),
+    }
+
+
+def infra_test_digests(kwargs: Dict, registry: AssetRegistry) -> Dict[str, str]:
+    result = run_infra_test(registry=registry, **kwargs)
+    return {"result": _sha256(json.dumps(dataclasses.asdict(result)))}
+
+
+#: Every stored entry: its digest function and that function's input.
+GROUPS: Dict[str, Tuple[Callable, Any]] = {
+    **{name: (trace_digests, spec) for name, spec in SCENARIOS.items()},
+    **{name: (run_digests, spec) for name, spec in RUNS.items()},
+    **{name: (infra_test_digests, kw) for name, kw in INFRA_TESTS.items()},
+}
+
+
 def digests() -> Dict[str, Dict[str, str]]:
-    """Fresh digests of every scenario (what the stored file should hold)."""
+    """Fresh digests of every run (what the stored file should hold)."""
     registry = AssetRegistry()
-    return {name: run_digests(spec, registry) for name, spec in SCENARIOS.items()}
+    return {name: digest(arg, registry) for name, (digest, arg) in GROUPS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -75,11 +191,33 @@ def registry():
     return AssetRegistry()
 
 
+@pytest.fixture(scope="module")
+def stored():
+    return json.loads(DIGESTS.read_text())
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_trace_and_breakdown_digests(name, registry):
-    stored = json.loads(DIGESTS.read_text())
-    assert run_digests(SCENARIOS[name], registry) == stored[name]
+def test_trace_and_breakdown_digests(name, registry, stored):
+    assert trace_digests(SCENARIOS[name], registry) == stored[name]
 
 
-def test_every_scenario_is_stored():
-    assert sorted(json.loads(DIGESTS.read_text())) == sorted(SCENARIOS)
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_digests(name, registry, stored):
+    assert run_digests(RUNS[name], registry) == stored[name]
+
+
+@pytest.mark.parametrize("name", sorted(INFRA_TESTS))
+def test_infra_test_digests(name, registry, stored):
+    assert infra_test_digests(INFRA_TESTS[name], registry) == stored[name]
+
+
+@pytest.mark.parametrize("name", ["t4", "cpu"])
+def test_default_runs_report_no_feature_section(name, registry):
+    result = _run(SCENARIOS[name], registry)
+    assert [getattr(result, s) for s in FEATURE_SECTIONS] == [None] * len(
+        FEATURE_SECTIONS
+    )
+
+
+def test_every_scenario_is_stored(stored):
+    assert sorted(stored) == sorted(GROUPS)

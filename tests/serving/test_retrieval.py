@@ -83,21 +83,6 @@ class TestSpecWiring:
         assert plan.retrieval is None and plan.min_recall == 0.9
 
 
-class TestDisabledBitIdentity:
-    """PR 3-5 contract: opting out must not perturb a single byte."""
-
-    @pytest.mark.parametrize("instance", ["CPU", "GPU-T4"])
-    def test_exact_mode_byte_identical(self, instance):
-        baseline = ExperimentRunner(seed=7).run(
-            spec(hardware=HardwareSpec(instance, 1))
-        )
-        disabled = ExperimentRunner(seed=7).run(
-            spec(hardware=HardwareSpec(instance, 1), retrieval="exact")
-        )
-        assert baseline.to_json() == disabled.to_json()
-        assert baseline.retrieval is None and disabled.retrieval is None
-
-
 class TestServedRuns:
     def test_retrieval_section_contents(self):
         result = ExperimentRunner(seed=7).run(

@@ -193,10 +193,8 @@ class TestNonComposition:
         ],
     )
     def test_tenants_reject_unsupported_dimensions(self, overrides, fragment):
-        with pytest.raises(DeploymentError) as error:
-            ExperimentRunner(seed=33).run(
-                spec(tenants="a=stamp:1;b=stamp:1", **overrides)
-            )
+        with pytest.raises(ValueError) as error:
+            spec(tenants="a=stamp:1;b=stamp:1", **overrides)
         assert fragment in str(error.value)
 
 
