@@ -36,7 +36,7 @@ docs-check:
 	$(PYTHON) tools/docs_check.py
 
 .PHONY: test
-test: docs-check bench-smoke perfbench-selftest cache-smoke shard-smoke retrieval-smoke scheduler-smoke failover-smoke tenant-smoke parallel-smoke
+test: docs-check bench-smoke perfbench-selftest cache-smoke shard-smoke retrieval-smoke scheduler-smoke failover-smoke tenant-smoke
 	$(PYTHON) -m pytest tests/
 
 # The host-time benchmark's self-tests (perfbench/README.md). They run
@@ -86,13 +86,6 @@ failover-smoke:
 .PHONY: tenant-smoke
 tenant-smoke:
 	$(PYTHON) tools/tenant_smoke.py
-
-# Cross-backend determinism smoke: one tiny planner grid evaluated on
-# serial, mp(2) and mp(4) must produce byte-identical plans and report
-# tables; on >= 4-core hosts mp(4) must also beat the serial wall clock.
-.PHONY: parallel-smoke
-parallel-smoke:
-	$(PYTHON) tools/parallel_smoke.py
 
 # Line coverage over the unit suite (see README "Development"). Needs
 # pytest-cov; when it is absent the target explains and skips instead of

@@ -28,7 +28,7 @@ from repro.serving.request import (
     RecommendationRequest,
     RecommendationResponse,
 )
-from repro.simulation import Simulator
+from repro.simulation import At, Simulator
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -36,11 +36,11 @@ if TYPE_CHECKING:
 SubmitFn = Callable[[RecommendationRequest, Callable[[RecommendationResponse], None]], None]
 
 
-def _cancel_timers(state: dict) -> None:
+def _cancel_timers(simulator: Simulator, state: dict) -> None:
     """Cancel a request's pending timeout and hedge timers."""
     for key in ("timeout", "hedge"):
         if state[key] is not None:
-            state[key].cancel()
+            simulator.cancel(state[key])
             state[key] = None
 
 
@@ -197,7 +197,7 @@ class LoadGenerator:
                 return
             state["done"] = True
             if state["timeout"] is not None or state["hedge"] is not None:
-                _cancel_timers(state)
+                _cancel_timers(self.simulator, state)
             self.pending -= 1
             if policy is not None and state["attempt"] > 0:
                 if response.ok:
@@ -234,7 +234,7 @@ class LoadGenerator:
                 state["done"] = True
                 state["timeout"] = None
                 if state["hedge"] is not None:
-                    _cancel_timers(state)
+                    _cancel_timers(self.simulator, state)
                 self.pending -= 1
                 self.timeouts += 1
                 if root_span is not None:
@@ -339,13 +339,28 @@ class LoadGenerator:
                 # Backpressure: don't exceed r_c requests in flight.
                 stalled = False
                 while self.pending >= r_c:
-                    if self.simulator.now >= tick_end or self.simulator.now >= deadline:
+                    now = self.simulator.now
+                    if now >= tick_end or now >= deadline:
                         stalled = True
                         break
-                    self.backpressure_stalls += 1
+                    # Only a response or a client timeout changes
+                    # ``pending``, and each arrives as an event: the polls
+                    # strictly before the next due event, the tick end and
+                    # the deadline would each find the same backlog and
+                    # stall again. Count them and resume at the first poll
+                    # that could see a change, on the float the 1 ms steps
+                    # would reach.
+                    bound = min(self.simulator.next_event_time(), tick_end, deadline)
+                    wait_s = self.BACKPRESSURE_WAIT_S
+                    stalls = 1
+                    poll = now + wait_s
+                    while poll < bound:
+                        stalls += 1
+                        poll += wait_s
+                    self.backpressure_stalls += stalls
                     if self.telemetry is not None:
-                        self._stall_counter.inc()
-                    yield self.BACKPRESSURE_WAIT_S
+                        self._stall_counter.inc(stalls)
+                    yield At(poll)
                 if stalled or self.simulator.now >= deadline:
                     break
                 self._send_one()

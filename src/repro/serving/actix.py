@@ -31,7 +31,7 @@ code path is bit-identical to the paper-faithful server.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from repro.serving.request import (
     RecommendationResponse,
     ResponseCallback,
 )
-from repro.simulation import LognormalJitter, Signal, Simulator
+from repro.simulation import PARK, At, LognormalJitter, Signal, Simulator
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -311,11 +311,16 @@ class EtudeInferenceServer:
         #: undegraded run reproduces the pre-chaos latencies).
         self.slowdown = 1.0
 
+        #: Parked CPU workers, in the order they parked: each is the
+        #: callable that resumes the worker in place.
+        self._parked: List[Callable[[], None]] = []
         if device.supports_batching():
             simulator.spawn(self._gpu_executor())
         else:
-            for index in range(self.worker_threads):
+            self._workers = [
                 simulator.spawn(self._cpu_worker(index))
+                for index in range(self.worker_threads)
+            ]
 
     # -- intake ------------------------------------------------------------
 
@@ -367,7 +372,11 @@ class EtudeInferenceServer:
         self._queue.append((request, respond, self.simulator.now))
         if self._tenant_queued is not None:
             self._note_queued(request)
-        self._work_signal.fire()
+        if self._parked:
+            self._wake_parked()
+        else:
+            # The GPU executor waits on the work signal; CPU workers park.
+            self._work_signal.fire()
         if (
             self._linger_wake is not None
             and len(self._queue) >= self.batching.max_batch_size
@@ -774,7 +783,7 @@ class EtudeInferenceServer:
         The cluster path restarts pods with a fresh server (boot + model
         load); this is the bare-server equivalent used by chaos schedules
         in cluster-less setups like the Figure 2 infra test, where the
-        worker processes are still parked on the work signal.
+        worker processes are still parked.
         """
         self.healthy = True
 
@@ -947,10 +956,38 @@ class EtudeInferenceServer:
         noise = self._jitter(0.08)
         return (other_s + memory_s * contention) * noise * self.slowdown
 
+    def _wake_parked(self) -> None:
+        """Resume the parked CPU workers from one event, at the current
+        instant, where the first of one zero-delay wake per worker would
+        sit. Those wakes would take consecutive sequence numbers, so
+        nothing could run between them: one event running them back to
+        back keeps every tie. Workers that park after this call wait for
+        the next arrival.
+        """
+        parked, self._parked = self._parked, []
+        self.simulator.call_at(
+            self.simulator.now + 0.0, lambda: self._resume_parked(parked)
+        )
+
+    def _resume_parked(self, parked) -> None:
+        """Step parked workers in order while work is queued.
+
+        A worker woken to an empty queue would only park again, behind
+        every worker that parked in the meantime; the rest are put there
+        without being stepped.
+        """
+        queue = self._queue
+        for index, resume in enumerate(parked):
+            if not queue:
+                self._parked.extend(parked[index:])
+                return
+            resume()
+
     def _cpu_worker(self, index: int):
         while True:
             if not self._queue:
-                yield self._wait_for_work()
+                self._parked.append(self._workers[index])
+                yield PARK
                 continue
             if self.admission is None:
                 request, respond, arrival = self._queue.popleft()
@@ -1063,12 +1100,17 @@ class EtudeInferenceServer:
                 # buffer: sleeping out the rest of the window with a full
                 # buffer only delays a flush that could already happen.
                 linger_started = simulator.now
-                wake = Signal(self._linger_name)
-                deadline_timer = simulator.call_at(deadline, wake.fire)
-                self._linger_wake = wake
-                yield wake
-                self._linger_wake = None
-                deadline_timer.cancel()
+                if deadline < simulator.next_event_time():
+                    # Nothing can enqueue before the deadline: no event is
+                    # due until after it, so resume there directly.
+                    yield At(deadline)
+                else:
+                    wake = Signal(self._linger_name)
+                    deadline_timer = simulator.call_at(deadline, wake.fire)
+                    self._linger_wake = wake
+                    yield wake
+                    self._linger_wake = None
+                    simulator.cancel(deadline_timer)
             take = min(len(queue), max_batch)
             if take == 0:
                 continue

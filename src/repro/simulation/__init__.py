@@ -13,11 +13,14 @@ Process model:
 - ``simulator.spawn(generator)`` starts a process;
 - ``yield <float>`` sleeps for that many (virtual) seconds;
 - ``yield signal`` suspends until the :class:`~repro.simulation.events.Signal`
-  is fired.
+  is fired;
+- ``yield At(t)`` resumes at the absolute instant ``t``;
+- ``yield PARK`` suspends with nothing scheduled, until the callable
+  ``spawn`` returned resumes the process in place.
 """
 
 from repro.simulation.events import Signal
-from repro.simulation.simulator import EventHandle, Simulator
+from repro.simulation.simulator import PARK, At, Simulator
 from repro.simulation.random_streams import LognormalJitter, RandomStreams
 
-__all__ = ["Simulator", "EventHandle", "Signal", "RandomStreams", "LognormalJitter"]
+__all__ = ["Simulator", "At", "PARK", "Signal", "RandomStreams", "LognormalJitter"]

@@ -1,4 +1,4 @@
-"""Event-heap entries and inter-process signalling."""
+"""Inter-process signalling."""
 
 from __future__ import annotations
 

@@ -17,54 +17,40 @@ telemetry spans) are readings of this clock — see ``docs/observability.md``.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.simulation.events import Signal
 
 Process = Generator[Any, Any, None]
 
+#: A scheduled event: the plain list ``[time, sequence, fn, live]``.
+#: Entries order by time, then by sequence number; the sequence is unique,
+#: so the callback is never compared. ``live`` is True until the event
+#: settles: firing clears it, cancelling clears it and drops ``fn``.
+Event = List[Any]
 
-class EventHandle(list):
-    """A scheduled callback that can be cancelled before it fires.
+_heappush = heapq.heappush
 
-    The handle *is* the heap entry, ``[time, sequence, fn, simulator]``,
-    so scheduling allocates one object per event. Entries order by time,
-    then by sequence number; the sequence is unique, so the callback is
-    never compared. The simulator slot is cleared once the event settles
-    (fires or is cancelled); a cancelled event also drops its callback.
-    Being a list, a handle is unhashable: keep handles as values, not keys.
 
-    Cancellation is O(1): the heap entry stays in place but is skipped —
-    without advancing the clock — when it reaches the top, so a cancelled
-    timer can never extend a run past its natural end.
+class At:
+    """Yielded by a process to resume at an absolute virtual instant.
+
+    ``yield At(t)`` schedules the resumption at exactly ``t``, so a
+    process that skips ahead lands on the float a chain of relative
+    sleeps would have reached; ``t`` before ``now`` is rejected.
     """
 
-    __slots__ = ()
+    __slots__ = ("time",)
 
-    @property
-    def fn(self) -> Optional[Callable[[], None]]:
-        return self[2]
+    def __init__(self, time: float):
+        self.time = time
 
-    @property
-    def cancelled(self) -> bool:
-        return self[3] is None and self[2] is None
 
-    @property
-    def fired(self) -> bool:
-        return self[3] is None and self[2] is not None
-
-    def cancel(self) -> None:
-        """Cancel the event (idempotent); a cancelled event never fires.
-
-        Cancelling after the event fired is a no-op — crucially it must
-        not touch the simulator's cancelled-event count, which only
-        tracks dead entries still sitting in the heap.
-        """
-        simulator = self[3]
-        if simulator is not None:
-            self[2] = None  # release closed-over state immediately
-            self[3] = None
-            simulator._cancelled_events += 1
+#: Yielded by a process to park it with nothing scheduled. The callable
+#: :meth:`Simulator.spawn` returned resumes it in place, inside whatever
+#: event calls it.
+PARK = object()
 
 
 class _Process:
@@ -104,12 +90,17 @@ class _Process:
             self.signal = yielded
             yielded.add_waiter(self.wake)
             return
+        elif yielded is PARK:
+            return
+        elif type(yielded) is At:
+            self.simulator.call_at(yielded.time, self.step)
+            return
         elif isinstance(yielded, (int, float)):
             delay = float(yielded)
         else:
             raise TypeError(
                 f"process yielded {type(yielded).__name__}; "
-                "expected a delay (seconds) or a Signal"
+                "expected a delay (seconds), a Signal, At or PARK"
             )
         # ``call_in``'s arithmetic, without the extra call. A NaN delay
         # passes the clamp and is rejected by ``call_at``.
@@ -132,34 +123,75 @@ class Simulator:
 
     def __init__(self):
         self.now: float = 0.0
-        self._heap: List[EventHandle] = []
+        self._heap: List[Event] = []
         self._sequence = 0
         self._live_processes = 0
         self._cancelled_events = 0
+        #: The ``until`` of the active ``run`` call, if any.
+        self._until: Optional[float] = None
 
     # -- low-level scheduling ---------------------------------------------------
 
-    def call_at(self, time: float, fn: Callable[[], None]) -> EventHandle:
+    def call_at(self, time: float, fn: Callable[[], None]) -> Event:
         # Also rejects NaN, for which ``time < self.now`` would be False.
         if not time >= self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        handle = EventHandle((time, self._sequence, fn, self))
-        heapq.heappush(self._heap, handle)
-        self._sequence += 1
-        return handle
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = [time, sequence, fn, True]
+        _heappush(self._heap, event)
+        return event
 
-    def call_in(self, delay: float, fn: Callable[[], None]) -> EventHandle:
+    def call_in(self, delay: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` after ``delay`` seconds; a negative delay is 0."""
         if delay < 0.0:
             delay = 0.0
         return self.call_at(self.now + delay, fn)
 
+    def cancel(self, event: Event) -> None:
+        """Cancel a scheduled event (idempotent); it will never fire.
+
+        O(1): the entry stays in the heap and is discarded, without
+        advancing the clock, when it reaches the top. Cancelling after the
+        event fired is a no-op — crucially it must not touch the
+        cancelled-event count, which only tracks dead entries still in
+        the heap. The callback is dropped at once, releasing its state.
+        """
+        if event[3]:
+            event[3] = False
+            event[2] = None
+            self._cancelled_events += 1
+
+    def next_event_time(self) -> float:
+        """When the next live event fires, capped at an active ``run``'s
+        ``until``; ``math.inf`` when nothing is due at all.
+
+        A process may skip waits that end strictly before this instant:
+        no callback can run in between. Dead entries on top of the heap
+        are discarded, as ``run`` would.
+        """
+        heap = self._heap
+        while heap and not heap[0][3]:
+            heapq.heappop(heap)
+            self._cancelled_events -= 1
+        time = heap[0][0] if heap else math.inf
+        until = self._until
+        if until is not None and until < time:
+            return until
+        return time
+
     # -- processes ----------------------------------------------------------------
 
-    def spawn(self, process: Process) -> None:
-        """Start a generator-based process immediately."""
+    def spawn(self, process: Process) -> Callable[[], None]:
+        """Start a generator-based process immediately.
+
+        Returns the callable that steps the process in place; use it only
+        to resume a process that yielded :data:`PARK`.
+        """
         self._live_processes += 1
-        self.call_in(0.0, _Process(self, process).step)
+        step = _Process(self, process).step
+        self.call_in(0.0, step)
+        return step
 
     # -- running -------------------------------------------------------------------
 
@@ -170,21 +202,25 @@ class Simulator:
         """
         heap = self._heap
         pop = heapq.heappop
-        while heap:
-            handle = heap[0]
-            if handle[3] is None:
-                # Dead timer: discard without advancing the clock.
+        outer, self._until = self._until, until
+        try:
+            while heap:
+                event = heap[0]
+                if not event[3]:
+                    # Dead timer: discard without advancing the clock.
+                    pop(heap)
+                    self._cancelled_events -= 1
+                    continue
+                time = event[0]
+                if until is not None and time > until:
+                    self.now = until
+                    return self.now
                 pop(heap)
-                self._cancelled_events -= 1
-                continue
-            time = handle[0]
-            if until is not None and time > until:
-                self.now = until
-                return self.now
-            pop(heap)
-            self.now = time
-            handle[3] = None  # fired
-            handle[2]()
+                self.now = time
+                event[3] = False  # fired
+                event[2]()
+        finally:
+            self._until = outer
         if until is not None:
             self.now = max(self.now, until)
         return self.now

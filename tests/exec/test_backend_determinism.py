@@ -6,7 +6,8 @@ for any scenario grid, ``DeploymentPlanner.plan`` produces *bit-identical*
 measured number inside every RunResult, and infeasible-candidate messages
 in grid order — whatever the backend and worker count. Hypothesis drives
 random small grids through serial and mp(2); a fixed wider grid (with
-infeasible and skipped candidates in it) also checks mp(4).
+infeasible and skipped candidates in it) also checks mp(4), and that the
+rendered report table is byte-identical too.
 """
 
 import json
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core import DeploymentPlanner
 from repro.core.experiment import ExperimentRunner
 from repro.core.registry import AssetRegistry
+from repro.core.report import render_scenario_table
 from repro.core.spec import Scenario
 from repro.hardware.instances import instance_by_name
 from repro.scheduler import SchedulerConfig
@@ -55,7 +57,7 @@ def plan_payload(plans):
     )
 
 
-def run_plan(backend, scenario, models, instance_names, seed, **planner_kwargs):
+def sweep(backend, scenario, models, instance_names, seed, **planner_kwargs):
     """One cold sweep: fresh runner + registry per call, nothing shared."""
     planner = DeploymentPlanner(
         runner=ExperimentRunner(registry=AssetRegistry(), seed=seed),
@@ -63,7 +65,14 @@ def run_plan(backend, scenario, models, instance_names, seed, **planner_kwargs):
         **planner_kwargs,
     )
     instances = [instance_by_name(name) for name in instance_names]
-    return plan_payload(planner.plan(scenario, models, instances=instances))
+    return planner.plan(scenario, models, instances=instances)
+
+
+def run_plan(backend, scenario, models, instance_names, seed, **planner_kwargs):
+    """The canonical payload of one cold sweep."""
+    return plan_payload(
+        sweep(backend, scenario, models, instance_names, seed, **planner_kwargs)
+    )
 
 
 @settings(max_examples=3, deadline=None)
@@ -104,14 +113,21 @@ def test_fixed_grid_with_infeasibles_all_backends():
         shard_counts=(1, 2),
         scheduler_options=(None, SchedulerConfig.parse("cpu=1,target=20")),
     )
-    payloads = {
-        backend: run_plan(
-            backend, scenario, models, instance_names, seed=99, **kwargs
-        )
+    plans = {
+        backend: sweep(backend, scenario, models, instance_names, seed=99, **kwargs)
         for backend in ("serial", "mp:workers=2", "mp:workers=4")
+    }
+    payloads = {backend: plan_payload(plan) for backend, plan in plans.items()}
+    tables = {
+        backend: render_scenario_table(
+            {scenario.name: plan}, models, instance_names=instance_names
+        )
+        for backend, plan in plans.items()
     }
     assert payloads["mp:workers=2"] == payloads["serial"]
     assert payloads["mp:workers=4"] == payloads["serial"]
+    assert tables["mp:workers=2"] == tables["serial"]
+    assert tables["mp:workers=4"] == tables["serial"]
     # The grid really contained infeasible candidates — the equality
     # above must cover their messages and ordering, not just options.
     decoded = json.loads(payloads["serial"])

@@ -1,7 +1,8 @@
 """Golden digests of short runs: every recorded span, the stage breakdown,
-the run result and the infra-test result, byte for byte.
+the run result, every recorded response and the infra-test result, byte
+for byte.
 
-Three groups of runs, each a few virtual seconds past provisioning:
+Four groups of runs, each a few virtual seconds past provisioning:
 
 - ``SCENARIOS`` (a sharded, cached T4 fleet; one T4; one CPU) cover every
   span site of the default, sharding and cache paths. Each stores the
@@ -11,10 +12,17 @@ Three groups of runs, each a few virtual seconds past provisioning:
 - ``RUNS`` holds one run per family of opt-in dimensions: overload
   protection, sharding across zones with a zone outage, retries and a
   two-tier cache, ANN retrieval, the heterogeneous scheduler, and a
-  tenant fleet. Each stores the sha256 of an untraced run's
+  tenant fleet; plus one saturated CPU run with no admission and no
+  fallback, whose load generator stalls thousands of times on
+  backpressure. Each stores the sha256 of an untraced run's
   ``RunResult.to_json()`` and of a traced run's trace. The traced run's
   result, without its ``stage_breakdown``, hashes the same as the
   untraced one.
+- ``RESPONSES`` pins every response the load generator records, in
+  record order, for the saturated CPU run and the ``t4`` and ``cpu``
+  scenarios: the sha256 over each response's status and the ``repr`` of
+  its latency, inference time and batch size, captured by wrapping
+  ``MetricsCollector.record`` during an untraced run.
 - ``INFRA_TESTS`` holds four ``run_infra_test`` runs. Each stores the
   sha256 of ``json.dumps(dataclasses.asdict(result))``.
 
@@ -30,6 +38,7 @@ import hashlib
 import json
 from pathlib import Path
 from typing import Any, Callable, Dict, Tuple
+from unittest import mock
 
 import pytest
 
@@ -40,6 +49,7 @@ from repro.core.infra_test import run_infra_test
 from repro.core.registry import AssetRegistry
 from repro.core.spec import ExperimentSpec, HardwareSpec
 from repro.loadgen.retry import RetryPolicy
+from repro.metrics.collector import MetricsCollector
 from repro.obs import Telemetry
 from repro.obs.export import stage_breakdown, trace_to_json
 from repro.serving.admission import AdmissionPolicy
@@ -94,6 +104,19 @@ RUNS: Dict[str, ExperimentSpec] = {
         tenants="home=stamp:3,slo=200,rollout=1;"
         "search=stamp:1,canary=0.25;mirror=stamp:0.2,shadow",
     ),
+    # One CPU pod at 1M items cannot keep up with the ramp: the load
+    # generator waits out thousands of 1 ms backpressure polls.
+    "backpressure": ExperimentSpec(
+        "gru4rec", 1_000_000, 1_000, HardwareSpec("CPU", 1),
+        duration_s=8.0, seed=3,
+    ),
+}
+
+#: Untraced runs whose every recorded response is pinned.
+RESPONSES: Dict[str, ExperimentSpec] = {
+    "backpressure-responses": RUNS["backpressure"],
+    "t4-responses": SCENARIOS["t4"],
+    "cpu-responses": SCENARIOS["cpu"],
 }
 
 #: Keyword arguments of ``run_infra_test`` besides the registry.
@@ -167,6 +190,24 @@ def run_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str, str]
     }
 
 
+def response_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str, str]:
+    """The digest of every response an untraced run records, in order."""
+    lines = []
+    record = MetricsCollector.record
+
+    def recording(collector, sent_at, response):
+        lines.append(
+            f"{response.status} {response.latency_s!r} "
+            f"{response.inference_s!r} {response.batch_size}"
+        )
+        record(collector, sent_at, response)
+
+    with mock.patch.object(MetricsCollector, "record", recording):
+        _run(spec, registry)
+    assert lines, "the run recorded no response"
+    return {"responses": _sha256("\n".join(lines))}
+
+
 def infra_test_digests(kwargs: Dict, registry: AssetRegistry) -> Dict[str, str]:
     result = run_infra_test(registry=registry, **kwargs)
     return {"result": _sha256(json.dumps(dataclasses.asdict(result)))}
@@ -176,6 +217,7 @@ def infra_test_digests(kwargs: Dict, registry: AssetRegistry) -> Dict[str, str]:
 GROUPS: Dict[str, Tuple[Callable, Any]] = {
     **{name: (trace_digests, spec) for name, spec in SCENARIOS.items()},
     **{name: (run_digests, spec) for name, spec in RUNS.items()},
+    **{name: (response_digests, spec) for name, spec in RESPONSES.items()},
     **{name: (infra_test_digests, kw) for name, kw in INFRA_TESTS.items()},
 }
 
@@ -204,6 +246,18 @@ def test_trace_and_breakdown_digests(name, registry, stored):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_digests(name, registry, stored):
     assert run_digests(RUNS[name], registry) == stored[name]
+
+
+@pytest.mark.parametrize("name", sorted(RESPONSES))
+def test_response_digests(name, registry, stored):
+    assert response_digests(RESPONSES[name], registry) == stored[name]
+
+
+def test_backpressure_run_stalls(registry):
+    """The saturated run keeps the stall path under the gate."""
+    result = _run(RUNS["backpressure"], registry)
+    assert result.backpressure_stalls >= 1_000
+    assert result.overload is None and result.error_requests == 0
 
 
 @pytest.mark.parametrize("name", sorted(INFRA_TESTS))

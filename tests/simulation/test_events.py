@@ -3,6 +3,7 @@ cancellation — Signal semantics and the O(1) cancelled-heap-entry
 machinery the simulator's determinism rests on."""
 
 from repro.simulation import Signal, Simulator
+from tests.simulation import event_state
 
 
 class TestSignal:
@@ -58,15 +59,15 @@ class TestEventCancellation:
         sim = Simulator()
         fired = []
         handle = sim.call_in(1.0, lambda: fired.append(True))
-        handle.cancel()
+        sim.cancel(handle)
         sim.run()
         assert not fired
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
         handle = sim.call_in(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        sim.cancel(handle)
+        sim.cancel(handle)
         # Double-cancel must not double-count the dead heap entry —
         # pending_events would go negative and run() would mis-skip.
         assert sim._cancelled_events == 1
@@ -78,9 +79,9 @@ class TestEventCancellation:
         sim = Simulator()
         handle = sim.call_in(1.0, lambda: None)
         sim.run()
-        assert handle.fired
-        handle.cancel()
-        assert not handle.cancelled
+        assert event_state.fired(handle)
+        sim.cancel(handle)
+        assert not event_state.cancelled(handle)
         assert sim._cancelled_events == 0
 
     def test_cancelled_timer_does_not_advance_the_clock(self):
@@ -88,7 +89,7 @@ class TestEventCancellation:
         fired_at = []
         sim.call_in(1.0, lambda: fired_at.append(sim.now))
         dead = sim.call_in(50.0, lambda: fired_at.append(sim.now))
-        dead.cancel()
+        sim.cancel(dead)
         end = sim.run()
         # The dead timer is discarded without the clock ever reaching 50.
         assert fired_at == [1.0]
@@ -98,12 +99,12 @@ class TestEventCancellation:
         sim = Simulator()
         handles = [sim.call_in(float(i + 1), lambda: None) for i in range(4)]
         assert sim.pending_events == 4
-        handles[0].cancel()
-        handles[2].cancel()
+        sim.cancel(handles[0])
+        sim.cancel(handles[2])
         assert sim.pending_events == 2
 
     def test_cancel_releases_the_callback_closure(self):
         sim = Simulator()
         handle = sim.call_in(1.0, lambda: None)
-        handle.cancel()
-        assert handle.fn is None
+        sim.cancel(handle)
+        assert handle[2] is None  # the callback slot

@@ -1,8 +1,11 @@
 """Discrete-event simulator core."""
 
+import math
+
 import pytest
 
-from repro.simulation import RandomStreams, Signal, Simulator
+from repro.simulation import PARK, At, RandomStreams, Signal, Simulator
+from tests.simulation import event_state
 
 
 class TestScheduling:
@@ -130,6 +133,62 @@ class TestProcesses:
             sim.run()
 
 
+class TestSkippingAWait:
+    def test_next_event_time_is_the_earliest_live_event(self):
+        sim = Simulator()
+        assert sim.next_event_time() == math.inf
+        early = sim.call_at(1.0, lambda: None)
+        sim.call_at(2.0, lambda: None)
+        assert sim.next_event_time() == 1.0
+        sim.cancel(early)
+        assert sim.next_event_time() == 2.0
+        assert sim.pending_events == 1
+
+    def test_next_event_time_is_capped_at_until(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(1.0, lambda: seen.append(sim.next_event_time()))
+        sim.call_at(3.0, lambda: None)
+        sim.run(until=1.5)
+        assert seen == [1.5]
+        # No run is active any more: the cap is gone.
+        assert sim.next_event_time() == 3.0
+
+    def test_at_resumes_on_the_exact_instant(self):
+        sim = Simulator()
+        target = 0.0
+        for _ in range(10):
+            target += 0.001
+        times = []
+
+        def process():
+            yield At(target)
+            times.append(sim.now)
+            yield At(0.0)
+
+        sim.spawn(process())
+        with pytest.raises(ValueError):
+            sim.run()
+        # Ten 1 ms steps, added one at a time, overshoot 0.01 by one ULP.
+        assert times == [target] and target != 0.01
+
+    def test_park_waits_for_an_in_place_resume(self):
+        sim = Simulator()
+        log = []
+
+        def process():
+            log.append(("parked", sim.now))
+            yield PARK
+            log.append(("resumed", sim.now))
+
+        resume = sim.spawn(process())
+        sim.run()
+        assert log == [("parked", 0.0)] and sim.pending_events == 0
+        sim.call_at(2.0, lambda: (resume(), log.append(("after", sim.now))))
+        sim.run()
+        assert log == [("parked", 0.0), ("resumed", 2.0), ("after", 2.0)]
+
+
 class TestSignals:
     def test_process_waits_for_signal(self):
         sim = Simulator()
@@ -213,7 +272,7 @@ class TestEventCancellation:
         log = []
         handle = sim.call_in(1.0, lambda: log.append("cancelled"))
         sim.call_in(2.0, lambda: log.append("kept"))
-        handle.cancel()
+        sim.cancel(handle)
         sim.run()
         assert log == ["kept"]
 
@@ -222,14 +281,14 @@ class TestEventCancellation:
         sim = Simulator()
         sim.call_in(1.0, lambda: None)
         handle = sim.call_in(100.0, lambda: None)
-        handle.cancel()
+        sim.cancel(handle)
         assert sim.run() == 1.0
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
         handle = sim.call_in(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        sim.cancel(handle)
+        sim.cancel(handle)
         assert sim.pending_events == 0
 
     def test_cancel_after_fire_is_noop(self):
@@ -237,7 +296,7 @@ class TestEventCancellation:
         fired = []
         handle = sim.call_in(1.0, lambda: fired.append(True))
         sim.run()
-        handle.cancel()
+        sim.cancel(handle)
         assert fired == [True]
         # The accounting must not go negative: a later event still counts.
         sim.call_in(1.0, lambda: None)
@@ -248,12 +307,12 @@ class TestEventCancellation:
         keep = sim.call_in(1.0, lambda: None)
         drop = sim.call_in(2.0, lambda: None)
         assert sim.pending_events == 2
-        drop.cancel()
+        sim.cancel(drop)
         assert sim.pending_events == 1
-        assert keep.cancelled is False
+        assert event_state.cancelled(keep) is False
 
     def test_cancel_releases_callback(self):
         sim = Simulator()
         handle = sim.call_in(1.0, lambda: None)
-        handle.cancel()
-        assert handle.fn is None
+        sim.cancel(handle)
+        assert handle[2] is None  # the callback slot

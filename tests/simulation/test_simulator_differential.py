@@ -7,15 +7,40 @@ negative delays, cancels before and after firing, double cancels,
 processes that sleep or wait on pending and already-fired signals, and
 ``run(until=...)`` in steps. The production core must reproduce the
 reference's firing order and clock readings, every ``run()`` result,
-``pending_events`` and every handle's ``cancelled``/``fired`` state.
+``pending_events`` and every event's cancelled/fired state. The
+production core cancels through ``Simulator.cancel`` and its events are
+plain heap entries; the reference cancels through its handles.
 """
+
+from typing import Any, Callable, NamedTuple, Tuple
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation import Signal, Simulator
-from tests.simulation import reference_simulator
+from tests.simulation import event_state, reference_simulator
+
+
+class Core(NamedTuple):
+    """A simulator class, how it cancels an event, and how an event
+    reports its ``(cancelled, fired)`` state."""
+
+    simulator: type
+    cancel: Callable[[Any, Any], None]
+    state: Callable[[Any], Tuple[bool, bool]]
+
+
+PRODUCTION = Core(
+    Simulator,
+    lambda sim, event: sim.cancel(event),
+    lambda event: (event_state.cancelled(event), event_state.fired(event)),
+)
+REFERENCE = Core(
+    reference_simulator.Simulator,
+    lambda sim, handle: handle.cancel(),
+    lambda handle: (handle.cancelled, handle.fired),
+)
 
 SIGNALS = 3
 
@@ -60,9 +85,9 @@ actions = st.one_of(
 programs = st.lists(actions, max_size=25)
 
 
-def execute(simulator_cls, program):
+def execute(core, program):
     """Run ``program`` on a fresh simulator; return everything observable."""
-    sim = simulator_cls()
+    sim = core.simulator()
     log = []
     handles = []
     signals = [Signal(f"s{index}") for index in range(SIGNALS)]
@@ -99,7 +124,7 @@ def execute(simulator_cls, program):
             schedule(kind, action[1], action[2])
         elif kind == "cancel":
             if handles:
-                handles[action[1] % len(handles)].cancel()
+                core.cancel(sim, handles[action[1] % len(handles)])
         elif kind == "spawn":
             sim.spawn(process(len(log), action[1]))
         elif kind == "fire":
@@ -112,7 +137,7 @@ def execute(simulator_cls, program):
             "state",
             sim.now,
             sim.pending_events,
-            tuple((handle.cancelled, handle.fired) for handle in handles),
+            tuple(core.state(handle) for handle in handles),
         )
 
     for action in program:
@@ -127,8 +152,8 @@ def execute(simulator_cls, program):
 @settings(max_examples=400, deadline=None)
 def test_matches_the_reference_core(program):
     # repr: clock readings must match bit for bit, signed zeros included.
-    assert repr(execute(Simulator, program)) == repr(
-        execute(reference_simulator.Simulator, program)
+    assert repr(execute(PRODUCTION, program)) == repr(
+        execute(REFERENCE, program)
     )
 
 
@@ -149,7 +174,7 @@ def test_a_mixed_program_matches_step_by_step():
         ("run", 100.0),
         ("run", None),
     ]
-    log = execute(Simulator, program)
-    assert repr(log) == repr(execute(reference_simulator.Simulator, program))
+    log = execute(PRODUCTION, program)
+    assert repr(log) == repr(execute(REFERENCE, program))
     assert ("rejected", "at", 0.0, 0.5) in log
     assert ("run", 100.0, 100.0) in log
