@@ -36,7 +36,7 @@ docs-check:
 	$(PYTHON) tools/docs_check.py
 
 .PHONY: test
-test: docs-check bench-smoke perfbench-selftest cache-smoke shard-smoke retrieval-smoke scheduler-smoke failover-smoke tenant-smoke
+test: docs-check bench-smoke perfbench-selftest cache-smoke shard-smoke scheduler-smoke failover-smoke tenant-smoke
 	$(PYTHON) -m pytest tests/
 
 # The host-time benchmark's self-tests (perfbench/README.md). They run
@@ -58,13 +58,6 @@ cache-smoke:
 .PHONY: shard-smoke
 shard-smoke:
 	$(PYTHON) tools/shard_smoke.py
-
-# Tiny deterministic ANN run against a real model: IVF probing half its
-# lists must reach recall@20 >= 0.9 vs the exact scan, and a disabled
-# retrieval run must stay byte-identical to the baseline.
-.PHONY: retrieval-smoke
-retrieval-smoke:
-	$(PYTHON) tools/retrieval_smoke.py
 
 # Deterministic heterogeneous-scheduler checks: split-fleet exactness,
 # mixed-vs-homogeneous tail under load, disabled-mode bit-identity.

@@ -490,7 +490,7 @@ def _emit_telemetry(telemetry, out, trace_out: Optional[str]) -> None:
                 handle.write(trace_to_json(telemetry.trace, indent=2))
         except OSError as error:
             raise SystemExit(f"cannot write --trace-out {trace_out!r}: {error}")
-        spans = len(telemetry.trace.spans)
+        spans = len(telemetry.trace)
         out.write(f"wrote {spans} spans to {trace_out}\n")
 
 

@@ -57,10 +57,26 @@ def _jsonable(value: Any):
 
 def trace_to_json(trace: Trace, indent: Optional[int] = None) -> str:
     """Serialize every recorded span (open spans have ``end: null``)."""
+    rows = zip(
+        trace.names, trace.trace_ids, trace.parent_ids,
+        trace.starts, trace.ends, trace.attrs,
+    )
+    spans = [
+        {
+            "name": name,
+            "trace_id": trace_id,
+            "span_id": span_id,
+            "parent_id": parent_id,
+            "start": start,
+            "end": end,
+            "attrs": {} if attrs is None else attrs,
+        }
+        for span_id, (name, trace_id, parent_id, start, end, attrs) in enumerate(rows)
+    ]
     payload = {
-        "span_count": len(trace.spans),
-        "trace_count": len(trace.by_trace()),
-        "spans": [span.to_dict() for span in trace.spans],
+        "span_count": len(trace),
+        "trace_count": trace.trace_count,
+        "spans": spans,
     }
     return json.dumps(payload, indent=indent, default=_jsonable)
 
@@ -131,40 +147,47 @@ def stage_breakdown(trace: Trace) -> Optional[BreakdownReport]:
     construction the stage rows plus ``other`` sum to exactly the
     end-to-end total.
     """
-    digests: Dict[str, LatencyDigest] = {name: LatencyDigest() for name in STAGE_ORDER}
-    other = LatencyDigest()
-    e2e = LatencyDigest()
-    requests = 0
+    names, starts, ends, attrs = trace.names, trace.starts, trace.ends, trace.attrs
+    durations: Dict[str, List[float]] = {name: [] for name in STAGE_ORDER}
+    other: List[float] = []
+    e2e: List[float] = []
 
-    for spans in trace.by_trace(root=ROOT_SPAN).values():
-        root = spans[0]
-        if not root.finished:
+    for rows in trace.rows_by_trace(root=ROOT_SPAN).values():
+        root = rows[0]
+        if ends[root] is None:
             continue
-        if root.attrs.get("status", HTTP_OK) != HTTP_OK:
+        root_attrs = attrs[root]
+        if root_attrs is not None and root_attrs.get("status", HTTP_OK) != HTTP_OK:
             continue
-        requests += 1
-        total = root.duration_s or 0.0
-        e2e.record(total)
+        total = (ends[root] - starts[root]) or 0.0
+        e2e.append(total)
         covered = 0.0
-        for span in spans[1:]:
-            if span.name in digests and span.finished:
-                duration = span.duration_s or 0.0
-                digests[span.name].record(duration)
+        for row in rows[1:]:
+            stage = durations.get(names[row])
+            if stage is not None and ends[row] is not None:
+                duration = (ends[row] - starts[row]) or 0.0
+                stage.append(duration)
                 covered += duration
-        other.record(max(total - covered, 0.0))
+        other.append(max(total - covered, 0.0))
 
-    if requests == 0:
+    if not e2e:
         return None
 
-    total_e2e = e2e.mean() * len(e2e)
+    e2e_digest = LatencyDigest.from_values(e2e)
+    total_e2e = e2e_digest.mean() * len(e2e_digest)
     stages = [
-        _stats(name, STAGE_LABELS[name], digests[name], total_e2e)
+        _stats(
+            name, STAGE_LABELS[name], LatencyDigest.from_values(durations[name]),
+            total_e2e,
+        )
         for name in STAGE_ORDER
-        if len(digests[name])
+        if durations[name]
     ]
-    stages.append(_stats("other", "other (respond)", other, total_e2e))
-    end_to_end = _stats("end_to_end", "end-to-end", e2e, total_e2e)
-    return BreakdownReport(requests=requests, stages=stages, end_to_end=end_to_end)
+    stages.append(
+        _stats("other", "other (respond)", LatencyDigest.from_values(other), total_e2e)
+    )
+    end_to_end = _stats("end_to_end", "end-to-end", e2e_digest, total_e2e)
+    return BreakdownReport(requests=len(e2e), stages=stages, end_to_end=end_to_end)
 
 
 def render_breakdown(report: Optional[BreakdownReport]) -> str:

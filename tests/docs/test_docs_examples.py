@@ -129,6 +129,49 @@ class TestFeatureRows:
         ]
 
 
+def shipped_docs():
+    paths = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
+    return [path.read_text() for path in paths]
+
+
+class TestCatalog:
+    def test_every_emitted_name_is_documented(self):
+        found = docs_check.emitted_names(docs_check.source_files())
+        assert "server_queue_depth" in found["instrument"]
+        assert {"request", "http_respond", "exec_task"} <= set(found["span"])
+        assert "zone_outage" in docs_check.chaos_span_names()
+        assert docs_check.check_catalog(shipped_docs(), docs_check.source_files()) == []
+
+    def test_identifiers_inside_inline_code_count(self):
+        documented = docs_check.documented_identifiers(
+            ["the `chaos_events_total{kind=...}` counter\n```\n`fenced_only`\n```\n"]
+        )
+        assert "chaos_events_total" in documented
+        assert "fenced_only" not in documented
+
+    def test_planted_undocumented_names_fail(self, tmp_path, monkeypatch, capsys):
+        planted = tmp_path / "planted.py"
+        planted.write_text(
+            "def emit(telemetry, trace):\n"
+            "    telemetry.metrics.counter('planted_requests_total', unit='requests')\n"
+            "    trace.record('planted_stage', 0, 0.0, 1.0)\n"
+            "    trace.begin('planted_open', 1)\n"
+            "    trace.record(name_from_a_variable, 0, 0.0, 1.0)\n"
+        )
+        sources = docs_check.source_files() + [planted]
+        assert docs_check.check_catalog(shipped_docs(), sources) == [
+            f"{planted}:2: instrument 'planted_requests_total' is not "
+            "backticked in docs/*.md or README.md",
+            f"{planted}:4: span 'planted_open' is not backticked in "
+            "docs/*.md or README.md",
+            f"{planted}:3: span 'planted_stage' is not backticked in "
+            "docs/*.md or README.md",
+        ]
+        monkeypatch.setattr(docs_check, "source_files", lambda: sources)
+        assert docs_check.main() == 1
+        assert "planted_requests_total" in capsys.readouterr().out
+
+
 class TestRealDocs:
     def test_shipped_documentation_is_clean(self, capsys):
         """The committed docs/README examples must validate — the same

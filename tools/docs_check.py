@@ -21,6 +21,14 @@ option the real subparser accepts. Conversely, every opt-in dimension's flag
 (``repro.core.spec.FEATURES``) needs a ``README.md`` flag-table row that
 names every subcommand whose parser accepts it.
 
+Finally, the instrument and span catalog cannot drift from the docs: every
+instrument name ``src/`` passes to ``counter``/``gauge``/``histogram`` and
+every span name it emits (the literal first argument of
+``record``/``begin``/``_service_span``, plus each chaos event's span) must
+appear backticked in ``docs/*.md`` or ``README.md``. A name counts when it
+is an identifier inside an inline code span, so ``chaos_events_total{kind}``
+documents ``chaos_events_total``.
+
 Run directly:  ``python tools/docs_check.py`` (``src/`` is added to the
 import path automatically, like the other ``tools/`` scripts).
 """
@@ -44,6 +52,14 @@ FENCE_RE = re.compile(r"^```(\w*)\s*$")
 
 #: A flag-table row: ``| `--flag ...` | <commands cell> | ...``.
 FLAG_ROW_RE = re.compile(r"^\|\s*`(--[\w-]+)[^`]*`\s*\|([^|]*)\|")
+
+INLINE_CODE_RE = re.compile(r"`([^`]+)`")
+IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
+#: Calls whose literal first argument names an instrument or a span.
+NAMING_CALLS = {
+    "counter": "instrument", "gauge": "instrument", "histogram": "instrument",
+    "record": "span", "begin": "span", "_service_span": "span",
+}
 
 
 def fenced_blocks(text: str) -> Iterator[Tuple[str, int, str]]:
@@ -219,6 +235,74 @@ def check_feature_rows(text: str, display) -> List[str]:
     return problems
 
 
+def emitted_names(paths) -> Dict[str, Dict[str, str]]:
+    """Instrument and span names the given modules emit, each mapped to
+    where it is first emitted (``file:line``)."""
+    found: Dict[str, Dict[str, str]] = {"instrument": {}, "span": {}}
+    for path in map(Path, paths):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.is_relative_to(REPO_ROOT):
+            path = path.relative_to(REPO_ROOT)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None
+            )
+            kind = NAMING_CALLS.get(called)
+            first = node.args[0]
+            if (
+                kind is not None
+                and isinstance(first, ast.Constant)
+                and isinstance(first.value, str)
+            ):
+                found[kind].setdefault(first.value, f"{path}:{node.lineno}")
+    return found
+
+
+def chaos_span_names() -> Dict[str, str]:
+    """The span each chaos event records: its ``span_name``, else
+    ``chaos_{kind}``."""
+    from repro.cluster.chaos import _EVENT_KINDS
+
+    return {
+        event.span_name or f"chaos_{event.kind}": f"chaos event {kind!r}"
+        for kind, (event, _) in _EVENT_KINDS.items()
+    }
+
+
+def documented_identifiers(texts) -> Set[str]:
+    """Identifiers inside inline code spans, outside fenced blocks."""
+    identifiers: Set[str] = set()
+    for text in texts:
+        fenced = False
+        for line in text.splitlines():
+            if line.strip().startswith("```"):
+                fenced = not fenced
+            elif not fenced:
+                for code in INLINE_CODE_RE.findall(line):
+                    identifiers.update(IDENTIFIER_RE.findall(code))
+    return identifiers
+
+
+def check_catalog(texts, source_paths) -> List[str]:
+    """Every emitted instrument and span name is backticked in the docs."""
+    documented = documented_identifiers(texts)
+    found = emitted_names(source_paths)
+    found["span"].update(chaos_span_names())
+    return [
+        f"{where}: {kind} {name!r} is not backticked in docs/*.md or README.md"
+        for kind, names in found.items()
+        for name, where in sorted(names.items())
+        if name not in documented
+    ]
+
+
+def source_files() -> List[Path]:
+    return sorted((REPO_ROOT / "src").rglob("*.py"))
+
+
 def check_file(path: Path) -> Tuple[List[str], int]:
     problems: List[str] = []
     blocks = 0
@@ -251,6 +335,9 @@ def main(argv: List[str] = None) -> int:
     if not argv:
         readme = REPO_ROOT / "README.md"
         problems.extend(check_feature_rows(readme.read_text(), "README.md"))
+        problems.extend(
+            check_catalog([path.read_text() for path in paths], source_files())
+        )
     for path in paths:
         try:
             file_problems, blocks = check_file(path)
