@@ -14,8 +14,11 @@ Four groups of runs, each a few virtual seconds past provisioning:
   two-tier cache, ANN retrieval, the heterogeneous scheduler, and a
   tenant fleet; plus one saturated CPU run with no admission and no
   fallback, whose load generator stalls thousands of times on
-  backpressure. Each stores the sha256 of an untraced run's
-  ``RunResult.to_json()`` and of a traced run's trace. The traced run's
+  backpressure; plus a scheduler fleet and a tenant fleet whose pods
+  crash and come back through the kubelet restart path, each restarted
+  pod answering a pinned number of requests. Each stores the sha256 of
+  an untraced run's ``RunResult.to_json()`` and of a traced run's
+  trace. The traced run's
   result, without its ``stage_breakdown``, hashes the same as the
   untraced one.
 - ``RESPONSES`` pins every response the load generator records, in
@@ -37,13 +40,14 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 from unittest import mock
 
 import pytest
 
 from repro.ann.config import RetrievalConfig
 from repro.cache.tier import CacheConfig
+from repro.cluster.kubernetes import Cluster
 from repro.core.experiment import ExperimentRunner
 from repro.core.infra_test import run_infra_test
 from repro.core.registry import AssetRegistry
@@ -110,6 +114,24 @@ RUNS: Dict[str, ExperimentSpec] = {
         "gru4rec", 1_000_000, 1_000, HardwareSpec("CPU", 1),
         duration_s=8.0, seed=3,
     ),
+    # The tuner moves the GPU linger, then the GPU pod and the auxiliary
+    # CPU pod crash and the kubelet restarts both from the deployment's
+    # pod spec, the GPU pod with the tuned batching.
+    "scheduler-restart": ExperimentSpec(
+        "gru4rec", 20_000, 300, HardwareSpec("GPU-T4", 1),
+        duration_s=18.0, seed=3, scheduler="cpu=1,epoch=1,target=1,tol=0.1",
+        chaos="crash@4:pod=0:restart=0,crash@4.5:pod=1:restart=0",
+    ),
+}
+# A tenant pod restarts with fresh clones of the fleet's serving states.
+RUNS["tenants-restart"] = dataclasses.replace(
+    RUNS["tenants"], duration_s=16.0, chaos="crash@2:pod=0:restart=0"
+)
+
+#: Requests each restarted pod of a restart run answers, in pod order.
+RESTARTED_COMPLETIONS: Dict[str, List[int]] = {
+    "scheduler-restart": [480, 319],
+    "tenants-restart": [157],
 }
 
 #: Untraced runs whose every recorded response is pinned.
@@ -258,6 +280,26 @@ def test_backpressure_run_stalls(registry):
     result = _run(RUNS["backpressure"], registry)
     assert result.backpressure_stalls >= 1_000
     assert result.overload is None and result.error_requests == 0
+
+
+@pytest.mark.parametrize("name", sorted(RESTARTED_COMPLETIONS))
+def test_restarted_pods_serve(name, registry):
+    """The restart runs keep the kubelet restart path under the gate."""
+    deployments = []
+    deploy_model = Cluster.deploy_model
+
+    def capture(cluster, *args, **kwargs):
+        deployments.append(deploy_model(cluster, *args, **kwargs))
+        return deployments[-1]
+
+    with mock.patch.object(Cluster, "deploy_model", capture):
+        _run(RUNS[name], registry)
+    (deployment,) = deployments
+    assert [
+        pod.server.completed
+        for pod in deployment.pods
+        if pod.server.name.endswith("-restarted")
+    ] == RESTARTED_COMPLETIONS[name]
 
 
 @pytest.mark.parametrize("name", sorted(INFRA_TESTS))
