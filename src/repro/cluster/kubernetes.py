@@ -11,20 +11,20 @@ the service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cache.tier import RemoteCacheTier
 from repro.cluster.storage import StorageBucket
+from repro.hardware.device import CPU_RESERVE_BYTES, GPU_RESERVE_BYTES
 from repro.hardware.instances import InstanceType
 from repro.hardware.latency_model import LatencyModel, ServiceTimeProfile
 from repro.serving.actix import EtudeInferenceServer
 from repro.serving.batching import BatchingConfig
 from repro.serving.profiles import ActixProfile
 from repro.sharding.config import ShardingConfig
-from repro.sharding.merge import ShardScorer
 from repro.simulation import Signal, Simulator
 
 if TYPE_CHECKING:
@@ -84,6 +84,53 @@ class AuxiliaryFleet:
             )
 
 
+@dataclass(frozen=True)
+class PodTemplate:
+    """What every pod of one deployment runs.
+
+    Deploy, kubelet restart and scale-up all build a pod's server from
+    the deployment's template, so a restarted or added pod serves what a
+    deploy-time pod of its shard serves. The heterogeneous scheduler
+    swaps in its tuned batching with ``dataclasses.replace``.
+    """
+
+    artifact_path: str
+    service_profile: ServiceTimeProfile
+    batching: BatchingConfig
+    server_profile: Optional[ActixProfile] = None
+    jit_warmup_s: float = 0.0
+    #: Bytes loaded into (device) memory; None charges the stored blob.
+    #: The virtual catalog means the stored artifact can be smaller than
+    #: the logical model, so callers pass the logical footprint.
+    load_bytes: Optional[float] = None
+    telemetry: Optional["Telemetry"] = None
+    #: The deployment's one shared remote cache tier (a memcached-style
+    #: sidecar every pod reaches over a network hop), or None.
+    remote_cache: Optional[RemoteCacheTier] = None
+    #: Catalog sharding with S > 1, or None (a pod serves one shard).
+    sharding: Optional[ShardingConfig] = None
+    #: ANN index construction (k-means training + list assignment),
+    #: charged on every pod before its readiness probe flips — also on
+    #: restarts, since the artifact ships embeddings, not the trained
+    #: index.
+    index_build_s: float = 0.0
+    #: A CPU pod pool beside an accelerator primary fleet (the
+    #: heterogeneous scheduler's shape): same artifact, the pool's own
+    #: CPU service profile, shared readiness signal. Every pod must hold
+    #: the full catalog so either class can answer any request, so an
+    #: experiment spec never combines it with sharding
+    #: (``repro.core.spec.CONFLICTS``).
+    auxiliary: Optional[AuxiliaryFleet] = None
+    #: A tenant fleet co-located on every pod (``docs/tenancy.md``): each
+    #: pod's server gets its *own* clones of these serving states
+    #: (rollouts bump versions pod by pod). The caller passes the fleet's
+    #: *summed* resident footprint to ``deploy_model`` so the fit checks
+    #: price the co-location. An experiment spec never combines it with
+    #: sharding or an auxiliary pool (``repro.core.spec.CONFLICTS``).
+    tenants: Optional[Sequence["TenantServing"]] = None
+    tenant_fair_depth: int = 64
+
+
 class ModelDeployment:
     """A replicated model-serving deployment."""
 
@@ -92,19 +139,21 @@ class ModelDeployment:
         name: str,
         pods: List[Pod],
         ready_signal: Signal,
-        restart_context: Optional[dict] = None,
-        sharding: Optional[ShardingConfig] = None,
+        template: PodTemplate,
         zones: int = 1,
     ):
         self.name = name
         self.pods = pods
         self.ready_signal = ready_signal
-        #: Everything needed to restart a crashed pod (kept by the cluster).
-        self.restart_context = restart_context or {}
-        #: Catalog-sharding config; None or S=1 means unsharded.
-        self.sharding = sharding
+        #: What every pod runs: read again at each restart and scale-up.
+        self.template = template
         #: Failure domains the fleet is spread over (1 = no zone topology).
         self.zones = zones
+
+    @property
+    def sharding(self) -> Optional[ShardingConfig]:
+        """Catalog-sharding config; None means unsharded."""
+        return self.template.sharding
 
     @property
     def shards(self) -> int:
@@ -177,8 +226,7 @@ class Cluster:
         device = instance_type.device
         if not device.is_accelerator:
             return requested
-        reserve = 2e9
-        available = device.memory_bytes - resident_bytes - reserve
+        available = device.memory_bytes - resident_bytes - GPU_RESERVE_BYTES
         if score_bytes_per_item <= 0:
             return requested
         max_fit = int(available // score_bytes_per_item)
@@ -214,7 +262,7 @@ class Cluster:
                     f"{device.name} memory ({device.memory_bytes / 1e9:.0f} GB) "
                     f"with batch {max_batch}"
                 )
-        elif resident_bytes + 4e9 > instance_type.ram_bytes:
+        elif resident_bytes + CPU_RESERVE_BYTES > instance_type.ram_bytes:
             raise DeploymentError(
                 f"model ({resident_bytes / 1e9:.1f} GB) does not fit "
                 f"{instance_type.name} RAM ({instance_type.ram_bytes / 1e9:.0f} GB)"
@@ -233,7 +281,6 @@ class Cluster:
         score_bytes_per_item: float,
         batching: Optional[BatchingConfig] = None,
         server_profile: Optional[ActixProfile] = None,
-        model=None,
         jit_warmup_s: float = 0.0,
         load_bytes: Optional[float] = None,
         telemetry: Optional["Telemetry"] = None,
@@ -247,33 +294,15 @@ class Cluster:
         """Create a deployment; pods become ready asynchronously.
 
         Wait on ``deployment.ready_signal`` (the readiness-probe equivalent)
-        before routing traffic.
+        before routing traffic. What each pod runs is kept as the
+        deployment's :class:`PodTemplate`; its fields document the
+        server-side options.
 
         With ``sharding`` enabled, ``replicas`` is *per shard*:
         ``shards * replicas`` pods come up, grouped by shard, and the
         caller is expected to pass the per-shard ``service_profile`` /
         ``resident_bytes`` / ``score_bytes_per_item`` (each pod hosts one
         catalog slice, not the whole table).
-
-        ``index_build_s`` charges ANN index construction (k-means training
-        + list assignment) on every pod before its readiness probe flips —
-        also on restarts, since the artifact stores embeddings, not the
-        trained index.
-
-        ``auxiliary`` adds a CPU pod pool beside an accelerator primary
-        fleet (the heterogeneous scheduler's shape): same artifact and
-        model, the pool's own CPU service profile, shared readiness
-        signal. Every pod must hold the full catalog so either class can
-        answer any request, so an experiment spec never combines it with
-        ``sharding`` (``repro.core.spec.CONFLICTS``).
-
-        ``tenants`` co-locates a tenant fleet on every replica
-        (``docs/tenancy.md``): each pod's server gets its *own* clones of
-        the tenant serving states (rollouts bump versions pod by pod), and
-        the caller passes the fleet's *summed* resident footprint as
-        ``resident_bytes`` so the fit checks above price the co-location.
-        An experiment spec never combines it with ``sharding`` or
-        ``auxiliary`` (``repro.core.spec.CONFLICTS``).
 
         ``zones > 1`` spreads the fleet over that many failure domains
         with a round-robin anti-affinity policy: within each shard's
@@ -311,8 +340,6 @@ class Cluster:
         if not self.bucket.exists(artifact_path):
             raise DeploymentError(f"artifact {artifact_path!r} not in bucket")
 
-        # One shared remote cache tier per deployment (memcached-style
-        # sidecar); every pod reaches the same store over a network hop.
         remote_cache = None
         if (
             server_profile is not None
@@ -320,112 +347,63 @@ class Cluster:
             and server_profile.cache.remote_capacity > 0
         ):
             remote_cache = RemoteCacheTier(server_profile.cache)
+        template = PodTemplate(
+            artifact_path=artifact_path,
+            service_profile=service_profile,
+            batching=batching,
+            server_profile=server_profile,
+            jit_warmup_s=jit_warmup_s,
+            load_bytes=load_bytes,
+            telemetry=telemetry,
+            remote_cache=remote_cache,
+            sharding=sharding if shards > 1 else None,
+            index_build_s=index_build_s,
+            auxiliary=auxiliary,
+            tenants=tenants,
+            tenant_fair_depth=tenant_fair_depth,
+        )
 
         pods: List[Pod] = []
-        ready_signal = Signal(f"{name}-ready")
-        aux_replicas = auxiliary.replicas if auxiliary is not None else 0
-        remaining = {"count": shards * replicas + aux_replicas}
         for pod_index in range(shards * replicas):
-            shard = pod_index // replicas
             self._pod_counter += 1
-            pod = Pod(
-                name=f"{name}-{self._pod_counter}",
-                instance_type=instance_type,
-                shard=shard,
-                # Round-robin spread: replica r of shard s lands in zone
-                # (s * replicas + r) % zones, so a shard's replicas occupy
-                # distinct zones whenever replicas <= zones.
-                zone=zone_name(pod_index % zones) if zones > 1 else "",
-            )
-            pods.append(pod)
-            self.simulator.spawn(
-                self._start_pod(
-                    pod,
-                    artifact_path,
-                    service_profile,
-                    batching,
-                    server_profile,
-                    self._model_for_shard(model, sharding, shard),
-                    jit_warmup_s,
-                    ready_signal,
-                    remaining,
-                    load_bytes,
-                    telemetry,
-                    remote_cache,
-                    index_build_s,
-                    tenants=tenants,
-                    tenant_fair_depth=tenant_fair_depth,
+            pods.append(
+                Pod(
+                    name=f"{name}-{self._pod_counter}",
+                    instance_type=instance_type,
+                    shard=pod_index // replicas,
+                    # Round-robin spread: replica r of shard s lands in zone
+                    # (s * replicas + r) % zones, so a shard's replicas
+                    # occupy distinct zones whenever replicas <= zones.
+                    zone=zone_name(pod_index % zones) if zones > 1 else "",
                 )
             )
+        aux_replicas = auxiliary.replicas if auxiliary is not None else 0
         for aux_index in range(aux_replicas):
             self._pod_counter += 1
-            pod = Pod(
-                name=f"{name}-cpu-{self._pod_counter}",
-                instance_type=auxiliary.instance_type,
-                zone=zone_name((shards * replicas + aux_index) % zones)
-                if zones > 1
-                else "",
-            )
-            pods.append(pod)
-            self.simulator.spawn(
-                self._start_pod(
-                    pod,
-                    artifact_path,
-                    auxiliary.service_profile,
-                    batching,
-                    server_profile,
-                    model,
-                    jit_warmup_s,
-                    ready_signal,
-                    remaining,
-                    load_bytes,
-                    telemetry,
-                    remote_cache,
-                    index_build_s,
+            pods.append(
+                Pod(
+                    name=f"{name}-cpu-{self._pod_counter}",
+                    instance_type=auxiliary.instance_type,
+                    zone=zone_name((shards * replicas + aux_index) % zones)
+                    if zones > 1
+                    else "",
                 )
+            )
+        ready_signal = Signal(f"{name}-ready")
+        remaining = {"count": len(pods)}
+        for pod in pods:
+            self.simulator.spawn(
+                self._start_pod(pod, template, ready_signal, remaining)
             )
         deployment = ModelDeployment(
             name=name,
             pods=pods,
             ready_signal=ready_signal,
-            restart_context={
-                "artifact_path": artifact_path,
-                "service_profile": service_profile,
-                "batching": batching,
-                "server_profile": server_profile,
-                "model": model,
-                "jit_warmup_s": jit_warmup_s,
-                "load_bytes": load_bytes,
-                "telemetry": telemetry,
-                "remote_cache": remote_cache,
-                "sharding": sharding,
-                "index_build_s": index_build_s,
-                "auxiliary": auxiliary,
-                "zones": zones,
-                "tenants": tenants,
-                "tenant_fair_depth": tenant_fair_depth,
-            },
-            sharding=sharding if shards > 1 else None,
+            template=template,
             zones=zones,
         )
         self.deployments.append(deployment)
         return deployment
-
-    @staticmethod
-    def _clone_tenants(
-        tenants: Optional[Sequence["TenantServing"]],
-    ) -> Optional[Dict[str, "TenantServing"]]:
-        """Per-pod copies of the deployment's tenant table (or None)."""
-        if tenants is None:
-            return None
-        return {serving.name: serving.clone() for serving in tenants}
-
-    @staticmethod
-    def _model_for_shard(model, sharding: Optional[ShardingConfig], shard: int):
-        """Scope a real model object to one pod's catalog slice."""
-        if model is None or sharding is None or not sharding.enabled:
-            return model
-        return ShardScorer(model, shard, sharding.shards)
 
     # -- failure injection -------------------------------------------------------
 
@@ -461,7 +439,6 @@ class Cluster:
         Used by the autoscaler; the new pod joins the ClusterIP rotation
         once its readiness probe flips.
         """
-        context = deployment.restart_context
         instance_type = deployment.pods[0].instance_type
         self._pod_counter += 1
         # On a sharded deployment the new replica reinforces whichever
@@ -487,27 +464,7 @@ class Cluster:
             zone=zone,
         )
         deployment.pods.append(pod)
-        self.simulator.spawn(
-            self._start_pod(
-                pod,
-                context["artifact_path"],
-                context["service_profile"],
-                context["batching"],
-                context["server_profile"],
-                self._model_for_shard(
-                    context["model"], context.get("sharding"), shard
-                ),
-                context["jit_warmup_s"],
-                Signal(f"{pod.name}-ready"),
-                {"count": 1},
-                context["load_bytes"],
-                context.get("telemetry"),
-                context.get("remote_cache"),
-                context.get("index_build_s", 0.0),
-                tenants=context.get("tenants"),
-                tenant_fair_depth=context.get("tenant_fair_depth", 64),
-            )
-        )
+        self.simulator.spawn(self._start_pod(pod, deployment.template))
         return pod
 
     @staticmethod
@@ -522,104 +479,81 @@ class Cluster:
         return victim
 
     def _restart_pod(self, deployment: ModelDeployment, pod: Pod, delay: float):
-        context = deployment.restart_context
         yield delay
-        # Boot + artifact download + model load (node already provisioned).
-        _payload, transfer_s = self.bucket.download(context["artifact_path"])
-        load_bytes = context["load_bytes"]
-        if load_bytes is None:
-            load_bytes = self.bucket.blob_size(context["artifact_path"])
-        yield (
-            self.POD_BOOT_S
-            + transfer_s
-            + load_bytes / self.MODEL_LOAD_BANDWIDTH
-            + context["jit_warmup_s"]
-            + context.get("index_build_s", 0.0)
-        )
-        pod.server = EtudeInferenceServer(
-            simulator=self.simulator,
-            device=pod.instance_type.device,
-            service_profile=self._profile_for_pod(context, pod),
-            rng=np.random.default_rng(self.rng.integers(2**63)),
-            profile=context["server_profile"],
-            batching=context["batching"],
-            model=self._model_for_shard(
-                context["model"], context.get("sharding"), pod.shard
-            ),
-            name=f"{pod.name}-restarted",
-            telemetry=context.get("telemetry"),
-            artifact_version=context["artifact_path"],
-            remote_cache=context.get("remote_cache"),
-            tenants=self._clone_tenants(context.get("tenants")),
-            tenant_fair_depth=context.get("tenant_fair_depth", 64),
-        )
-        pod.ready = True
-        pod.ready_at = self.simulator.now
-
-    @staticmethod
-    def _profile_for_pod(context: dict, pod: Pod) -> ServiceTimeProfile:
-        """The service profile matching a pod's device class.
-
-        On a heterogeneous deployment the CPU pool runs the auxiliary
-        fleet's (CPU-calibrated) profile; everything else uses the primary
-        one.
-        """
-        auxiliary = context.get("auxiliary")
-        if auxiliary is not None and not pod.instance_type.device.is_accelerator:
-            return auxiliary.service_profile
-        return context["service_profile"]
+        # Node already provisioned: boot, download and load again. The
+        # template is read after each wait, so the restarted server gets
+        # whatever batching the scheduler tuned meanwhile.
+        yield self._boot_s(deployment.template)
+        self._serve(pod, deployment.template, f"{pod.name}-restarted")
 
     def _start_pod(
         self,
         pod: Pod,
-        artifact_path: str,
-        service_profile: ServiceTimeProfile,
-        batching: BatchingConfig,
-        server_profile: Optional[ActixProfile],
-        model,
-        jit_warmup_s: float,
-        ready_signal: Signal,
-        remaining: dict,
-        load_bytes: Optional[float] = None,
-        telemetry: Optional["Telemetry"] = None,
-        remote_cache: Optional[RemoteCacheTier] = None,
-        index_build_s: float = 0.0,
-        tenants: Optional[Sequence["TenantServing"]] = None,
-        tenant_fair_depth: int = 64,
+        template: PodTemplate,
+        ready_signal: Optional[Signal] = None,
+        remaining: Optional[dict] = None,
     ):
+        """Bring up one pod; the last of a new deployment's pods fires its
+        readiness signal (a scale-up pod joins a deployment already up)."""
         # 1. Autopilot provisions a node for the pod.
         yield float(self.rng.uniform(self.PROVISION_MIN_S, self.PROVISION_MAX_S))
-        # 2. Container boot + artifact download + model load. The virtual
-        # catalog means the stored artifact can be smaller than the logical
-        # model; ``load_bytes`` charges the logical footprint. ANN index
-        # construction (``index_build_s``) happens here too: the artifact
-        # ships embeddings, each pod trains its own inverted file.
-        _payload, transfer_s = self.bucket.download(artifact_path)
-        effective_bytes = (
-            load_bytes if load_bytes is not None else self.bucket.blob_size(artifact_path)
+        # 2. Container boot + artifact download + model load.
+        yield self._boot_s(template)
+        # 3. Server comes up; the readiness probe flips.
+        self._serve(pod, template, pod.name)
+        if remaining is not None:
+            remaining["count"] -= 1
+            if remaining["count"] == 0:
+                ready_signal.fire()
+
+    def _boot_s(self, template: PodTemplate) -> float:
+        """Seconds from a provisioned node to a loaded model: container
+        boot, artifact download, model load, JIT warm-up, index build."""
+        _payload, transfer_s = self.bucket.download(template.artifact_path)
+        load_bytes = template.load_bytes
+        if load_bytes is None:
+            load_bytes = self.bucket.blob_size(template.artifact_path)
+        return (
+            self.POD_BOOT_S
+            + transfer_s
+            + load_bytes / self.MODEL_LOAD_BANDWIDTH
+            + template.jit_warmup_s
+            + template.index_build_s
         )
-        load_s = effective_bytes / self.MODEL_LOAD_BANDWIDTH
-        yield self.POD_BOOT_S + transfer_s + load_s + jit_warmup_s + index_build_s
-        # 3. Server comes up; the readiness probe flips. Each pod owns
-        # fresh clones of the tenant serving states: rollouts bump
-        # versions pod by pod, so the state cannot be shared.
+
+    def _serve(self, pod: Pod, template: PodTemplate, name: str) -> None:
+        """Bring ``pod``'s server up from the template; the readiness
+        probe flips.
+
+        The CPU pool of a heterogeneous deployment runs the auxiliary
+        fleet's (CPU-calibrated) profile, every other pod the primary one.
+        Each pod owns fresh clones of the tenant serving states: rollouts
+        bump versions pod by pod, so the state cannot be shared. The
+        clones are of the deploy-time states, so a pod restarted after a
+        rollout serves the pre-rollout versions again.
+        """
+        service_profile = template.service_profile
+        auxiliary = template.auxiliary
+        if auxiliary is not None and not pod.instance_type.device.is_accelerator:
+            service_profile = auxiliary.service_profile
+        tenants = template.tenants
         pod.server = EtudeInferenceServer(
             simulator=self.simulator,
             device=pod.instance_type.device,
             service_profile=service_profile,
             rng=np.random.default_rng(self.rng.integers(2**63)),
-            profile=server_profile,
-            batching=batching,
-            model=model,
-            name=pod.name,
-            telemetry=telemetry,
-            artifact_version=artifact_path,
-            remote_cache=remote_cache,
-            tenants=self._clone_tenants(tenants),
-            tenant_fair_depth=tenant_fair_depth,
+            profile=template.server_profile,
+            batching=template.batching,
+            name=name,
+            telemetry=template.telemetry,
+            artifact_version=template.artifact_path,
+            remote_cache=template.remote_cache,
+            tenants=(
+                None
+                if tenants is None
+                else {serving.name: serving.clone() for serving in tenants}
+            ),
+            tenant_fair_depth=template.tenant_fair_depth,
         )
         pod.ready = True
         pod.ready_at = self.simulator.now
-        remaining["count"] -= 1
-        if remaining["count"] == 0:
-            ready_signal.fire()

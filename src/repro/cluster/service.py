@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.cluster.kubernetes import ModelDeployment, Pod, zone_name
 from repro.cluster.routing import RoutingPolicy, partition_by_shard
-from repro.hardware.latency_model import NetworkHop, ShardMergeCost
+from repro.hardware.latency_model import NetworkHop
 from repro.sharding.config import shard_bounds
 from repro.sharding.gather import ScatterGatherAggregator
 from repro.serving.request import (
@@ -88,7 +88,6 @@ class ClusterIPService:
         routing: Optional[RoutingPolicy] = None,
         top_k: int = 20,
         catalog_size: Optional[int] = None,
-        merge_cost: Optional[ShardMergeCost] = None,
         dispatcher: Optional["QueryDispatcher"] = None,
     ):
         self.simulator = simulator
@@ -181,7 +180,6 @@ class ClusterIPService:
                 network_delay=self._network_delay,
                 top_k=top_k,
                 coverage_fractions=fractions,
-                merge_cost=merge_cost,
                 telemetry=telemetry,
             )
 

@@ -5,6 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+#: Memory the serving runtime keeps for itself: out of device memory on
+#: an accelerator, out of host RAM on a CPU instance. Every fit check
+#: (single-model and co-located fleets) leaves this much free.
+GPU_RESERVE_BYTES = 2e9
+CPU_RESERVE_BYTES = 4e9
+
 
 @dataclass(frozen=True)
 class DeviceModel:

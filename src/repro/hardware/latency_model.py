@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.hardware.device import DeviceModel
+from repro.hardware.device import GPU_RESERVE_BYTES, DeviceModel
 from repro.tensor.ops import CostRecord, CostTrace
 
 #: A lognormal jitter source: ``draw(sigma)`` -> one draw with mean 0.0.
@@ -221,8 +221,7 @@ class LatencyModel:
     def fits_in_memory(self, resident_bytes: float, max_batch: int, score_bytes_per_item: float) -> bool:
         """Device-memory feasibility: parameters + batched score buffers +
         a fixed runtime reserve must fit in device memory."""
-        reserve = 2e9
         return (
-            resident_bytes + max_batch * score_bytes_per_item + reserve
+            resident_bytes + max_batch * score_bytes_per_item + GPU_RESERVE_BYTES
             <= self.device.memory_bytes
         )

@@ -5,13 +5,14 @@ that wakes every ``epoch_s`` virtual seconds, snapshots the dispatcher's
 per-route latency digests and the GPU fleet's mean flush size, lets the
 :class:`~repro.scheduler.tuner.HillClimbTuner` move (at most) one knob,
 and pushes the resulting :class:`~repro.serving.batching.BatchingConfig`
-onto every GPU pod — including the deployment's restart context, so a
+onto every GPU pod — including the deployment's pod template, so a
 chaos-restarted pod comes back with the *tuned* knobs rather than the
 initial ones.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional, TYPE_CHECKING
 
 from repro.scheduler.config import SchedulerConfig
@@ -101,7 +102,9 @@ class SchedulerRuntime:
         for server in self._gpu_servers():
             server.batching = batching
         # Chaos-restarted pods must come back with the tuned knobs.
-        self.deployment.restart_context["batching"] = batching
+        self.deployment.template = dataclasses.replace(
+            self.deployment.template, batching=batching
+        )
         self.dispatcher.short_session = self.tuner.short_session
         self.dispatcher.linger_s = self.tuner.linger_s
 

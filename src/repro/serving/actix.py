@@ -503,30 +503,12 @@ class EtudeInferenceServer:
                 "cache_hit", request.request_id, now, now + http_s, tier=tier
             )
             self._cache_hit_counters[tier].inc()
-
-        def deliver() -> None:
-            if not self.healthy:
-                self._fail(request, respond)
-                return
-            completed = self.simulator.now
-            respond(
-                RecommendationResponse(
-                    request_id=request.request_id,
-                    status=HTTP_OK,
-                    completed_at=completed,
-                    latency_s=completed - request.sent_at,
-                    inference_s=0.0,
-                    batch_size=1,
-                    items=items,
-                    scores=scores,
-                    cache_hit=True,
-                )
-            )
-            self.completed += 1
-            if self.telemetry is not None:
-                self._completed_counter.inc()
-
-        self.simulator.call_in(http_s, deliver)
+        self.simulator.call_in(
+            http_s,
+            lambda: self._answer(
+                request, respond, items=items, scores=scores, cache_hit=True
+            ),
+        )
 
     def _serve_follower(
         self,
@@ -545,31 +527,38 @@ class EtudeInferenceServer:
                 "cache_hit", request.request_id, now, now + http_s,
                 tier="coalesced",
             )
+        self.simulator.call_in(
+            http_s,
+            lambda: self._answer(
+                request, respond, queue_s=parked_s, items=items,
+                scores=scores, cache_hit=True,
+            ),
+        )
 
-        def deliver() -> None:
-            if not self.healthy:
-                self._fail(request, respond)
-                return
-            completed = self.simulator.now
-            respond(
-                RecommendationResponse(
-                    request_id=request.request_id,
-                    status=HTTP_OK,
-                    completed_at=completed,
-                    latency_s=completed - request.sent_at,
-                    inference_s=0.0,
-                    queue_s=parked_s,
-                    batch_size=1,
-                    items=items,
-                    scores=scores,
-                    cache_hit=True,
-                )
+    def _answer(
+        self,
+        request: RecommendationRequest,
+        respond: ResponseCallback,
+        **fields,
+    ) -> None:
+        """Deliver a 200 that ran no inference (a cache hit, a coalesced
+        follower, the fallback tier), unless the server crashed since."""
+        if not self.healthy:
+            self._fail(request, respond)
+            return
+        now = self.simulator.now
+        respond(
+            RecommendationResponse(
+                request_id=request.request_id,
+                status=HTTP_OK,
+                completed_at=now,
+                latency_s=now - request.sent_at,
+                **fields,
             )
-            self.completed += 1
-            if self.telemetry is not None:
-                self._completed_counter.inc()
-
-        self.simulator.call_in(http_s, deliver)
+        )
+        self.completed += 1
+        if self.telemetry is not None:
+            self._completed_counter.inc()
 
     def _resolve_flight_ok(self, request: RecommendationRequest, payload) -> None:
         """Leader inference finished: fill the tiers, answer followers.
@@ -696,30 +685,12 @@ class EtudeInferenceServer:
                 reason=reason,
             )
         items = tier.recommend(request.session_items)
-
-        def deliver() -> None:
-            if not self.healthy:
-                self._fail(request, respond)
-                return
-            now = self.simulator.now
-            respond(
-                RecommendationResponse(
-                    request_id=request.request_id,
-                    status=HTTP_OK,
-                    completed_at=now,
-                    latency_s=now - request.sent_at,
-                    inference_s=0.0,
-                    queue_s=queue_s,
-                    batch_size=1,
-                    items=items,
-                    degraded=True,
-                )
-            )
-            self.completed += 1
-            if self.telemetry is not None:
-                self._completed_counter.inc()
-
-        self.simulator.call_in(budget, deliver)
+        self.simulator.call_in(
+            budget,
+            lambda: self._answer(
+                request, respond, queue_s=queue_s, items=items, degraded=True
+            ),
+        )
 
     def _next_viable(
         self,

@@ -71,7 +71,6 @@ class ScatterGatherAggregator:
         network_delay: Callable[[], float],
         top_k: int,
         coverage_fractions: Optional[Sequence[float]] = None,
-        merge_cost: Optional[ShardMergeCost] = None,
         telemetry=None,
     ):
         if len(shard_submits) != config.shards:
@@ -86,7 +85,7 @@ class ScatterGatherAggregator:
         if len(coverage_fractions) != config.shards:
             raise ValueError("need exactly one coverage fraction per shard")
         self.coverage_fractions = list(coverage_fractions)
-        self.merge_cost = merge_cost if merge_cost is not None else ShardMergeCost()
+        self.merge_cost = ShardMergeCost()
         self.telemetry = telemetry
         self._next_sub_id = SUB_REQUEST_ID_START
 

@@ -15,12 +15,7 @@ paper-faithful single-model benchmark.
 """
 
 from repro.tenancy.config import DEFAULT_FAIR_DEPTH, TenancyConfig, TenantConfig
-from repro.tenancy.fleet import (
-    ARM_CANARY,
-    ARM_STABLE,
-    TenantServing,
-    build_pod_servings,
-)
+from repro.tenancy.fleet import ARM_CANARY, ARM_STABLE, TenantServing
 from repro.tenancy.rollout import TenantRollout, bumped_version
 from repro.tenancy.split import SHADOW_ID_BASE, TenantTally, TrafficSplitter
 
@@ -51,7 +46,6 @@ __all__ = [
     "TenantConfig",
     "DEFAULT_FAIR_DEPTH",
     "TenantServing",
-    "build_pod_servings",
     "ARM_STABLE",
     "ARM_CANARY",
     "TrafficSplitter",

@@ -20,7 +20,7 @@ Cache scoping: every cache key a tenant's request produces embeds
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 from repro.hardware.latency_model import ServiceTimeProfile
 from repro.tenancy.config import TenantConfig
@@ -110,16 +110,8 @@ class TenantServing:
         return self.resident_bytes * copies
 
 
-def build_pod_servings(
-    template: Sequence[TenantServing],
-) -> Dict[str, TenantServing]:
-    """Per-pod clones of the deployment's tenant table, keyed by name."""
-    return {serving.name: serving.clone() for serving in template}
-
-
 __all__ = [
     "TenantServing",
-    "build_pod_servings",
     "ARM_STABLE",
     "ARM_CANARY",
 ]

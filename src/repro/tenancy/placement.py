@@ -24,13 +24,10 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.kubernetes import Cluster, DeploymentError
 from repro.core.planner import DeploymentOption, DeploymentPlanner, option_sort_key
 from repro.core.spec import SLO, ExperimentSpec, HardwareSpec, Scenario
+from repro.hardware.device import CPU_RESERVE_BYTES, GPU_RESERVE_BYTES
 from repro.hardware.instances import INSTANCE_TYPES, InstanceType
 from repro.tenancy.config import TenancyConfig
 from repro.tenancy.fleet import TenantServing
-
-#: Runtime reserves mirrored from the cluster's single-model fit checks.
-GPU_RESERVE_BYTES = 2e9
-CPU_RESERVE_BYTES = 4e9
 
 
 def colocated_resident_bytes(servings: Sequence[TenantServing]) -> float:
@@ -255,7 +252,7 @@ class FleetPlanner:
         instance: InstanceType,
         plan: FleetPlan,
     ) -> Optional[DeploymentOption]:
-        replicas = self._seed_replicas(
+        start = replicas = self._seed_replicas(
             tenancy, catalog_size, target_rps, instance
         )
         if replicas > self.max_replicas:
@@ -289,6 +286,10 @@ class FleetPlanner:
                 "tenant's SLO"
             )
             return None
+        if best.replicas > start:
+            # The climb measured best.replicas - 1 and found it infeasible;
+            # runs are hermetic, so measuring it again cannot change that.
+            return best
         # The analytic seed can overshoot; try to shrink.
         while best.replicas > 1:
             try:

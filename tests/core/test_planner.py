@@ -203,3 +203,32 @@ class TestClimbDoesNotRemeasure:
         assert (option.instance_type, option.replicas) == ("CPU", 2)
         assert option.monthly_cost_usd == pytest.approx(216.18)
         assert repr(option.result.p90_ms) == "34.67368504525317"
+
+
+class TestFleetClimbDoesNotRemeasure:
+    def test_climb_skips_the_shrink(self, monkeypatch):
+        """``FleetPlanner`` keeps the same contract: a count its climb
+        found infeasible is not measured again on the way down."""
+        from repro.tenancy import TenancyConfig
+        from repro.tenancy.placement import FleetPlanner
+
+        measured = []
+
+        def measure(self, tenancy, catalog_size, target_rps, instance, replicas):
+            measured.append(replicas)
+            return replicas
+
+        monkeypatch.setattr(FleetPlanner, "_measure", measure)
+        # Undershooting seed: 1 replica, where the stub needs 2.
+        monkeypatch.setattr(FleetPlanner, "_seed_replicas", lambda self, *a: 1)
+        monkeypatch.setattr(
+            FleetPlanner, "_meets_fleet_slo",
+            lambda self, tenancy, replicas: replicas >= 2,
+        )
+        plan = FleetPlanner(runner=ExperimentRunner(seed=11)).plan(
+            TenancyConfig.parse("a=stamp:1;b=stamp:1"), 10_000, 100,
+            instances=[CPU_E2], standalone=False,
+        )
+        assert measured == [1, 2]  # the search used to measure [1, 2, 1]
+        (option,) = plan.options
+        assert (option.instance_type, option.replicas) == ("CPU", 2)
