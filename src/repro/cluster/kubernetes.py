@@ -12,6 +12,7 @@ the service.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.cluster.storage import StorageBucket
 from repro.hardware.device import CPU_RESERVE_BYTES, GPU_RESERVE_BYTES
 from repro.hardware.instances import InstanceType
 from repro.hardware.latency_model import LatencyModel, ServiceTimeProfile
-from repro.serving.actix import EtudeInferenceServer
+from repro.serving.actix import EtudeInferenceServer, shard_scoped_version
 from repro.serving.batching import BatchingConfig
 from repro.serving.profiles import ActixProfile
 from repro.sharding.config import ShardingConfig
@@ -109,24 +110,20 @@ class PodTemplate:
     remote_cache: Optional[RemoteCacheTier] = None
     #: Catalog sharding with S > 1, or None (a pod serves one shard).
     sharding: Optional[ShardingConfig] = None
-    #: ANN index construction (k-means training + list assignment),
-    #: charged on every pod before its readiness probe flips — also on
-    #: restarts, since the artifact ships embeddings, not the trained
-    #: index.
+    #: ANN index construction (k-means + list assignment), charged on
+    #: every pod before its readiness probe flips, restarts included:
+    #: the artifact ships embeddings, not the trained index.
     index_build_s: float = 0.0
-    #: A CPU pod pool beside an accelerator primary fleet (the
-    #: heterogeneous scheduler's shape): same artifact, the pool's own
-    #: CPU service profile, shared readiness signal. Every pod must hold
-    #: the full catalog so either class can answer any request, so an
-    #: experiment spec never combines it with sharding
-    #: (``repro.core.spec.CONFLICTS``).
+    #: A CPU pool beside an accelerator fleet (:class:`AuxiliaryFleet`).
+    #: Every pod must hold the full catalog so either class can answer
+    #: any request, so an experiment spec never combines it with
+    #: sharding (``repro.core.spec.CONFLICTS``).
     auxiliary: Optional[AuxiliaryFleet] = None
-    #: A tenant fleet co-located on every pod (``docs/tenancy.md``): each
-    #: pod's server gets its *own* clones of these serving states
-    #: (rollouts bump versions pod by pod). The caller passes the fleet's
-    #: *summed* resident footprint to ``deploy_model`` so the fit checks
-    #: price the co-location. An experiment spec never combines it with
-    #: sharding or an auxiliary pool (``repro.core.spec.CONFLICTS``).
+    #: A tenant fleet co-located on every pod (``docs/tenancy.md``). The
+    #: caller passes the fleet's *summed* resident footprint to
+    #: ``deploy_model`` so the fit checks price the co-location. An
+    #: experiment spec never combines it with sharding or an auxiliary
+    #: pool (``repro.core.spec.CONFLICTS``).
     tenants: Optional[Sequence["TenantServing"]] = None
     tenant_fair_depth: int = 64
 
@@ -527,6 +524,8 @@ class Cluster:
 
         The CPU pool of a heterogeneous deployment runs the auxiliary
         fleet's (CPU-calibrated) profile, every other pod the primary one.
+        A sharded pod's artifact version carries its shard, so each shard
+        keys its results in its own keyspace of the shared remote cache.
         Each pod owns fresh clones of the tenant serving states: rollouts
         bump versions pod by pod, so the state cannot be shared. The
         clones are of the deploy-time states, so a pod restarted after a
@@ -536,6 +535,12 @@ class Cluster:
         auxiliary = template.auxiliary
         if auxiliary is not None and not pod.instance_type.device.is_accelerator:
             service_profile = auxiliary.service_profile
+        version = template.artifact_path
+        if template.sharding is not None:
+            shard = SimpleNamespace(
+                shard_index=pod.shard, shards=template.sharding.shards
+            )
+            version = shard_scoped_version(version, shard)
         tenants = template.tenants
         pod.server = EtudeInferenceServer(
             simulator=self.simulator,
@@ -546,7 +551,7 @@ class Cluster:
             batching=template.batching,
             name=name,
             telemetry=template.telemetry,
-            artifact_version=template.artifact_path,
+            artifact_version=version,
             remote_cache=template.remote_cache,
             tenants=(
                 None

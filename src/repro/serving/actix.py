@@ -98,7 +98,8 @@ def shard_scoped_version(artifact_version: str, model) -> str:
     deployment shares one remote cache tier and (pre-fix) one artifact
     version — so shard A's slice result could answer shard B's leg as a
     spurious full-coverage hit. Scoping the version to the shard keeps
-    the keyspaces disjoint.
+    the keyspaces disjoint. ``model`` is anything with ``shard_index``
+    and ``shards``: a shard scorer, or the shard a cluster pod serves.
     """
     shard_index = getattr(model, "shard_index", None)
     if shard_index is None:

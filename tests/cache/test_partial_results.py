@@ -18,6 +18,7 @@ import pytest
 
 from repro.cache.policy import MISSING
 from repro.cache.tier import CacheConfig, RecommendationCache, RemoteCacheTier
+from repro.core.experiment import ExperimentRunner
 from repro.hardware import CPU_E2, LatencyModel
 from repro.serving import ActixProfile, EtudeInferenceServer
 from repro.serving.actix import cacheable_result, shard_scoped_version
@@ -29,6 +30,7 @@ from repro.serving.request import (
 )
 from repro.simulation import Simulator
 from repro.tensor.ops import CostRecord, CostTrace
+from tests.golden.test_trace_digests import SCENARIOS
 
 
 class FakeShardScorer:
@@ -156,6 +158,21 @@ class TestShardScopedVersions:
         assert list(responses["b"].items) == [100, 101, 102]
         # And the second shard really executed (no spurious remote hit).
         assert not responses["b"].cache_hit
+
+    def test_cluster_shards_get_disjoint_keyspaces(self, deployments):
+        """A sharded cluster deployment scopes each pod's cache version to
+        its shard: the replicas of a shard share one keyspace, shards do
+        not, and no shard's fill overwrites another's remote entry."""
+        result = ExperimentRunner(seed=11).run(SCENARIOS["t4-sharded-cached"])
+        (deployment,) = deployments
+        versions = {}
+        for pod in deployment.pods:
+            versions.setdefault(pod.shard, set()).add(
+                pod.server.cache.keyer.version
+            )
+        assert [len(shard) for shard in versions.values()] == [1] * 4
+        assert len(set().union(*versions.values())) == 4
+        assert result.cache["remote_entries"] == result.cache["fills"]
 
 
 class TestDegradedResultsNeverFill:

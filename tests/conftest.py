@@ -9,12 +9,17 @@ test.
 
 Override the budget with ``ETUDE_TEST_TIMEOUT`` (seconds); ``0`` disables
 the guard (e.g. when stepping through a test under a debugger).
+
+The ``deployments`` fixture, on request, keeps every deployment a run
+creates, so a test can inspect the pods of a finished experiment.
 """
 
 import faulthandler
 import os
 
 import pytest
+
+from repro.cluster.kubernetes import Cluster
 
 #: Per-test wall-clock budget in seconds. Generous: the slowest legitimate
 #: tests (long deployed-benchmark integrations) finish well under this.
@@ -32,3 +37,17 @@ def _hang_guard():
         yield
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def deployments(monkeypatch):
+    """Every deployment ``Cluster.deploy_model`` creates during the test."""
+    created = []
+    deploy_model = Cluster.deploy_model
+
+    def keep(cluster, *args, **kwargs):
+        created.append(deploy_model(cluster, *args, **kwargs))
+        return created[-1]
+
+    monkeypatch.setattr(Cluster, "deploy_model", keep)
+    return created

@@ -18,9 +18,8 @@ Four groups of runs, each a few virtual seconds past provisioning:
   crash and come back through the kubelet restart path, each restarted
   pod answering a pinned number of requests. Each stores the sha256 of
   an untraced run's ``RunResult.to_json()`` and of a traced run's
-  trace. The traced run's
-  result, without its ``stage_breakdown``, hashes the same as the
-  untraced one.
+  trace. The traced run's result, without its ``stage_breakdown``,
+  hashes the same as the untraced one.
 - ``RESPONSES`` pins every response the load generator records, in
   record order, for the saturated CPU run and the ``t4`` and ``cpu``
   scenarios: the sha256 over each response's status and the ``repr`` of
@@ -47,7 +46,6 @@ import pytest
 
 from repro.ann.config import RetrievalConfig
 from repro.cache.tier import CacheConfig
-from repro.cluster.kubernetes import Cluster
 from repro.core.experiment import ExperimentRunner
 from repro.core.infra_test import run_infra_test
 from repro.core.registry import AssetRegistry
@@ -283,17 +281,9 @@ def test_backpressure_run_stalls(registry):
 
 
 @pytest.mark.parametrize("name", sorted(RESTARTED_COMPLETIONS))
-def test_restarted_pods_serve(name, registry):
+def test_restarted_pods_serve(name, registry, deployments):
     """The restart runs keep the kubelet restart path under the gate."""
-    deployments = []
-    deploy_model = Cluster.deploy_model
-
-    def capture(cluster, *args, **kwargs):
-        deployments.append(deploy_model(cluster, *args, **kwargs))
-        return deployments[-1]
-
-    with mock.patch.object(Cluster, "deploy_model", capture):
-        _run(RUNS[name], registry)
+    _run(RUNS[name], registry)
     (deployment,) = deployments
     assert [
         pod.server.completed
