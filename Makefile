@@ -36,7 +36,7 @@ docs-check:
 	$(PYTHON) tools/docs_check.py
 
 .PHONY: test
-test: docs-check bench-smoke perfbench-selftest cache-smoke shard-smoke scheduler-smoke failover-smoke tenant-smoke
+test: docs-check bench-smoke perfbench-selftest cache-smoke shard-smoke scheduler-smoke tenant-smoke
 	$(PYTHON) -m pytest tests/
 
 # The host-time benchmark's self-tests (perfbench/README.md). They run
@@ -64,13 +64,6 @@ shard-smoke:
 .PHONY: scheduler-smoke
 scheduler-smoke:
 	$(PYTHON) tools/scheduler_smoke.py
-
-# Deterministic failure drill: a zone-replicated sharded deployment must
-# ride out a full zone outage (>=99% 200s, coverage 1.0, finite TTR) and
-# the unreplicated control must be called out as a collapse.
-.PHONY: failover-smoke
-failover-smoke:
-	$(PYTHON) tools/failover_smoke.py
 
 # Deterministic tenant-fleet checks: co-located answers bit-identical to
 # each tenant served alone, shadow traffic never client-visible, canary

@@ -8,9 +8,9 @@ how far p90 moved, what fraction of requests kept getting 200s, the
 worst catalog coverage served, and the time-to-recovery once the
 kubelets brought the zone back.
 
-Used by the ``repro drill`` CLI command, ``tools/failover_smoke.py``
-(the ``make test`` gate), and the planner's ``--survive-zones``
-verification runs. See ``docs/availability.md``.
+Used by the ``repro drill`` CLI command, the planner's
+``--survive-zones`` verification runs, and the acceptance drill in
+``tests/core/test_availability.py``. See ``docs/availability.md``.
 """
 
 from __future__ import annotations
