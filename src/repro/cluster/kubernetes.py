@@ -108,7 +108,7 @@ class PodTemplate:
     #: The deployment's one shared remote cache tier (a memcached-style
     #: sidecar every pod reaches over a network hop), or None.
     remote_cache: Optional[RemoteCacheTier] = None
-    #: Catalog sharding with S > 1, or None (a pod serves one shard).
+    #: Catalog sharding with S > 1; None on an unsharded deployment.
     sharding: Optional[ShardingConfig] = None
     #: ANN index construction (k-means + list assignment), charged on
     #: every pod before its readiness probe flips, restarts included:

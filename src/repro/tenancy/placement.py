@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.cluster.kubernetes import Cluster, DeploymentError
+from repro.cluster.kubernetes import DeploymentError
 from repro.core.planner import DeploymentOption, DeploymentPlanner, option_sort_key
 from repro.core.spec import SLO, ExperimentSpec, HardwareSpec, Scenario
 from repro.hardware.device import CPU_RESERVE_BYTES, GPU_RESERVE_BYTES

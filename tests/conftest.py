@@ -19,8 +19,6 @@ import os
 
 import pytest
 
-from repro.cluster.kubernetes import Cluster
-
 #: Per-test wall-clock budget in seconds. Generous: the slowest legitimate
 #: tests (long deployed-benchmark integrations) finish well under this.
 DEFAULT_TIMEOUT_S = 120.0
@@ -42,6 +40,8 @@ def _hang_guard():
 @pytest.fixture
 def deployments(monkeypatch):
     """Every deployment ``Cluster.deploy_model`` creates during the test."""
+    from repro.cluster.kubernetes import Cluster
+
     created = []
     deploy_model = Cluster.deploy_model
 
