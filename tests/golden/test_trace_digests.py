@@ -21,10 +21,12 @@ Four groups of runs, each a few virtual seconds past provisioning:
   trace. The traced run's result, without its ``stage_breakdown``,
   hashes the same as the untraced one.
 - ``RESPONSES`` pins every response the load generator records, in
-  record order, for the saturated CPU run and the ``t4`` and ``cpu``
-  scenarios: the sha256 over each response's status and the ``repr`` of
-  its latency, inference time and batch size, captured by wrapping
-  ``MetricsCollector.record`` during an untraced run.
+  record order, for the saturated CPU run, the ``t4`` and ``cpu``
+  scenarios and a two-pod run whose client retries a crashed pod's
+  errors and hedges slow requests: the sha256 over each response's
+  request id, status and the ``repr`` of its latency, inference time and
+  batch size, captured by wrapping ``MetricsCollector.record`` during an
+  untraced run.
 - ``INFRA_TESTS`` holds four ``run_infra_test`` runs. Each stores the
   sha256 of ``json.dumps(dataclasses.asdict(result))``.
 
@@ -32,7 +34,10 @@ A change that means to move no simulated number must leave every digest
 in ``trace_digests.json`` unchanged. After an intended change to what a
 run records, rewrite the file from the repository root with::
 
-    PYTHONPATH=src python -c "import json; from tests.golden.test_trace_digests import digests; open('tests/golden/trace_digests.json', 'w').write(json.dumps(digests(), indent=2) + '\\n')"
+    PYTHONPATH=src python -m tests.golden.test_trace_digests
+
+which prints each entry it added, removed or changed. The tests only
+compare; nothing they read can make them rewrite the file.
 """
 
 import dataclasses
@@ -137,6 +142,14 @@ RESPONSES: Dict[str, ExperimentSpec] = {
     "backpressure-responses": RUNS["backpressure"],
     "t4-responses": SCENARIOS["t4"],
     "cpu-responses": SCENARIOS["cpu"],
+    # Pod 0 crashes at 1 s and is back 2 s later: the client retries the
+    # errors round-robin routing sends it meanwhile, and hedges every
+    # request that is slower than 3.5 ms, so both settle paths run.
+    "retry-hedge-responses": ExperimentSpec(
+        "gru4rec", 20_000, 300, HardwareSpec("GPU-T4", 2),
+        duration_s=4.0, seed=3, retry="max=2,base=0.02,hedge=0.0035",
+        chaos="crash@1:pod=0:restart=2", routing="rr,lag=0.5",
+    ),
 }
 
 #: Keyword arguments of ``run_infra_test`` besides the registry.
@@ -217,7 +230,7 @@ def response_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str,
 
     def recording(collector, sent_at, response):
         lines.append(
-            f"{response.status} {response.latency_s!r} "
+            f"{response.request_id} {response.status} {response.latency_s!r} "
             f"{response.inference_s!r} {response.batch_size}"
         )
         record(collector, sent_at, response)
@@ -307,3 +320,33 @@ def test_default_runs_report_no_feature_section(name, registry):
 
 def test_every_scenario_is_stored(stored):
     assert sorted(stored) == sorted(GROUPS)
+
+
+def main() -> None:
+    """Rewrite ``trace_digests.json`` and print every entry that moved."""
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    fresh = digests()
+    # Stored entries keep their place; new ones go last.
+    new = {name: fresh[name] for name in old if name in fresh}
+    new.update(fresh)
+    DIGESTS.write_text(json.dumps(new, indent=2) + "\n")
+    moved = 0
+    for name in sorted(set(old) | set(new)):
+        if name not in new:
+            print(f"removed {name}")
+        elif name not in old:
+            print(f"added   {name}")
+        elif old[name] != new[name]:
+            keys = sorted(
+                key for key in set(old[name]) | set(new[name])
+                if old[name].get(key) != new[name].get(key)
+            )
+            print(f"changed {name}: {', '.join(keys)}")
+        else:
+            continue
+        moved += 1
+    print(f"{DIGESTS.name}: {len(new)} entries, {moved} added, removed or changed")
+
+
+if __name__ == "__main__":
+    main()
