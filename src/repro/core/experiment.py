@@ -411,7 +411,10 @@ class ExperimentRunner:
             state["started_at"] = simulator.now
 
         simulator.spawn(coordinator())
-        simulator.run()
+        try:
+            simulator.run()
+        finally:
+            simulator.close()
 
         return self._build_result(spec, assets, collector, state, telemetry)
 

@@ -276,7 +276,10 @@ def run_infra_test(
         controller = chaos.install(
             simulator, servers=servers, telemetry=telemetry
         )
-    simulator.run()
+    try:
+        simulator.run()
+    finally:
+        simulator.close()
 
     overload = None
     if slo_deadline_s is not None or admission is not None or fallback is not None:

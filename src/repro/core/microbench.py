@@ -87,7 +87,10 @@ def serial_microbenchmark(
             latencies.append(response.inference_s)
 
     simulator.spawn(client())
-    simulator.run()
+    try:
+        simulator.run()
+    finally:
+        simulator.close()
 
     scaled = [latency * 1000.0 for latency in latencies]
     return MicrobenchResult(

@@ -36,18 +36,123 @@ if TYPE_CHECKING:
 SubmitFn = Callable[[RecommendationRequest, Callable[[RecommendationResponse], None]], None]
 
 
-def _cancel_timers(simulator: Simulator, state: dict) -> None:
-    """Cancel a request's pending timeout and hedge timers."""
-    for key in ("timeout", "hedge"):
-        if state[key] is not None:
-            simulator.cancel(state[key])
-            state[key] = None
+class _Call:
+    """One logical request's client state, across all its attempts and
+    hedges: one settle, plus the cancellable timers covering it.
 
+    Its bound methods are the callbacks the request hands out (response,
+    timeout and hedge), so no callback refers to itself: a settled call
+    holds no reference cycle and is freed by reference counting.
+    """
 
-def _settle_spans(state: dict, status: int) -> None:
-    """Finish a request's open hedge span with its final status."""
-    state["hedge_span"].finish(status=status)
-    state["hedge_span"] = None
+    __slots__ = (
+        "generator", "request", "session_id", "sent_at", "root_span",
+        "done", "attempt", "hedged", "timeout", "hedge", "hedge_span",
+    )
+
+    def __init__(self, generator, request, session_id, sent_at, root_span):
+        self.generator = generator
+        self.request = request
+        self.session_id = session_id
+        self.sent_at = sent_at
+        self.root_span = root_span
+        self.done = False
+        self.attempt = 0
+        self.hedged = False
+        self.timeout = None
+        self.hedge = None
+        self.hedge_span = None
+
+    def _cancel_timers(self) -> None:
+        """Cancel the pending timeout and hedge timers."""
+        simulator = self.generator.simulator
+        if self.timeout is not None:
+            simulator.cancel(self.timeout)
+            self.timeout = None
+        if self.hedge is not None:
+            simulator.cancel(self.hedge)
+            self.hedge = None
+
+    def _settle_spans(self, status: int) -> None:
+        """Finish the open hedge span with the final status."""
+        self.hedge_span.finish(status=status)
+        self.hedge_span = None
+
+    def on_response(self, response: RecommendationResponse) -> None:
+        if self.done:
+            return  # the client already settled; connection is gone
+        generator = self.generator
+        policy = generator.retry_policy
+        if (
+            policy is not None
+            and policy.retryable(response.status)
+            and self.attempt < policy.max_retries
+        ):
+            generator._schedule_retry(self, response)
+            return
+        self.done = True
+        if self.timeout is not None or self.hedge is not None:
+            self._cancel_timers()
+        generator.pending -= 1
+        sent_at = self.sent_at
+        if policy is not None and self.attempt > 0:
+            if response.ok:
+                generator.retry_successes += 1
+            elif policy.retryable(response.status):
+                generator.retry_exhausted += 1
+                if generator.telemetry is not None:
+                    generator._retry_exhausted_counter.inc()
+            # End-to-end latency spans all attempts, not just the last
+            # wire exchange (the service stamps from first send, but a
+            # bare-server submit target may not).
+            response.latency_s = response.completed_at - sent_at
+        generator.collector.record(sent_at, response)
+        if self.root_span is not None:
+            attrs = {}
+            if self.attempt:
+                attrs["retries"] = self.attempt
+            if self.hedged:
+                attrs["hedged"] = True
+            self.root_span.finish(
+                status=response.status,
+                batch_size=response.batch_size,
+                **attrs,
+            )
+        if self.hedge_span is not None:
+            self._settle_spans(response.status)
+        generator.sessions.complete(self.session_id)
+
+    def on_timeout(self) -> None:
+        if self.done:
+            return
+        self.done = True
+        self.timeout = None
+        if self.hedge is not None:
+            self._cancel_timers()
+        generator = self.generator
+        generator.pending -= 1
+        generator.timeouts += 1
+        if self.root_span is not None:
+            generator._timeout_counter.inc()
+            self.root_span.finish(status=HTTP_GATEWAY_TIMEOUT)
+        if self.hedge_span is not None:
+            self._settle_spans(HTTP_GATEWAY_TIMEOUT)
+        now = generator.simulator.now
+        sent_at = self.sent_at
+        generator.collector.record(
+            sent_at,
+            RecommendationResponse(
+                request_id=self.request.request_id,
+                status=HTTP_GATEWAY_TIMEOUT,
+                completed_at=now,
+                latency_s=now - sent_at,
+            ),
+        )
+        # The visitor moved on; the session continues regardless.
+        generator.sessions.complete(self.session_id)
+
+    def on_hedge(self) -> None:
+        self.generator._send_hedge(self)
 
 
 class LoadGenerator:
@@ -166,17 +271,6 @@ class LoadGenerator:
         self.pending += 1
         self.sent += 1
         self.collector.note_sent(sent_at)
-        # Per-logical-request state: one settle across all attempts and
-        # hedges, plus the cancellable timers covering the whole request.
-        state = {
-            "done": False,
-            "attempt": 0,
-            "hedged": False,
-            "timeout": None,
-            "hedge": None,
-            "hedge_span": None,
-        }
-        policy = self.retry_policy
 
         root_span = None
         if self.telemetry is not None:
@@ -184,95 +278,25 @@ class LoadGenerator:
             root_span = self.telemetry.trace.begin(
                 "request", request.request_id, session_id=int(session_id)
             )
-
-        def on_response(response: RecommendationResponse) -> None:
-            if state["done"]:
-                return  # the client already settled; connection is gone
-            if (
-                policy is not None
-                and policy.retryable(response.status)
-                and state["attempt"] < policy.max_retries
-            ):
-                self._schedule_retry(request, state, response, on_response)
-                return
-            state["done"] = True
-            if state["timeout"] is not None or state["hedge"] is not None:
-                _cancel_timers(self.simulator, state)
-            self.pending -= 1
-            if policy is not None and state["attempt"] > 0:
-                if response.ok:
-                    self.retry_successes += 1
-                elif policy.retryable(response.status):
-                    self.retry_exhausted += 1
-                    if self.telemetry is not None:
-                        self._retry_exhausted_counter.inc()
-                # End-to-end latency spans all attempts, not just the last
-                # wire exchange (the service stamps from first send, but a
-                # bare-server submit target may not).
-                response.latency_s = response.completed_at - sent_at
-            self.collector.record(sent_at, response)
-            if root_span is not None:
-                attrs = {}
-                if state["attempt"]:
-                    attrs["retries"] = state["attempt"]
-                if state["hedged"]:
-                    attrs["hedged"] = True
-                root_span.finish(
-                    status=response.status,
-                    batch_size=response.batch_size,
-                    **attrs,
-                )
-            if state["hedge_span"] is not None:
-                _settle_spans(state, response.status)
-            self.sessions.complete(session_id)
-
+        call = _Call(self, request, session_id, sent_at, root_span)
         if self.request_timeout_s is not None:
-
-            def on_timeout() -> None:
-                if state["done"]:
-                    return
-                state["done"] = True
-                state["timeout"] = None
-                if state["hedge"] is not None:
-                    _cancel_timers(self.simulator, state)
-                self.pending -= 1
-                self.timeouts += 1
-                if root_span is not None:
-                    self._timeout_counter.inc()
-                    root_span.finish(status=HTTP_GATEWAY_TIMEOUT)
-                if state["hedge_span"] is not None:
-                    _settle_spans(state, HTTP_GATEWAY_TIMEOUT)
-                now = self.simulator.now
-                self.collector.record(
-                    sent_at,
-                    RecommendationResponse(
-                        request_id=request.request_id,
-                        status=HTTP_GATEWAY_TIMEOUT,
-                        completed_at=now,
-                        latency_s=now - sent_at,
-                    ),
-                )
-                # The visitor moved on; the session continues regardless.
-                self.sessions.complete(session_id)
-
-            state["timeout"] = self.simulator.call_in(
-                self.request_timeout_s, on_timeout
+            call.timeout = self.simulator.call_in(
+                self.request_timeout_s, call.on_timeout
             )
-
+        policy = self.retry_policy
         if policy is not None and policy.hedge_after_s is not None:
-            state["hedge"] = self.simulator.call_in(
-                policy.hedge_after_s,
-                lambda: self._send_hedge(request, state, on_response),
+            call.hedge = self.simulator.call_in(
+                policy.hedge_after_s, call.on_hedge
             )
 
-        self.submit(request, on_response)
+        self.submit(request, call.on_response)
 
     # -- resilience plumbing ------------------------------------------------
 
-    def _schedule_retry(self, request, state, response, on_response) -> None:
-        """Resubmit ``request`` after the policy's (jittered) backoff."""
-        state["attempt"] += 1
-        attempt = state["attempt"]
+    def _schedule_retry(self, call: _Call, response: RecommendationResponse) -> None:
+        """Resubmit ``call``'s request after the policy's (jittered) backoff."""
+        call.attempt += 1
+        attempt = call.attempt
         self.retries += 1
         delay = self.retry_policy.backoff_s(attempt, self.retry_rng)
         backoff_span = None
@@ -280,13 +304,13 @@ class LoadGenerator:
             self._retry_counter.inc()
             backoff_span = self.telemetry.trace.begin(
                 "retry_backoff",
-                request.request_id,
+                call.request.request_id,
                 attempt=attempt,
                 status=response.status,
             )
 
         def resend() -> None:
-            if state["done"]:
+            if call.done:
                 return  # the client timeout fired mid-backoff
             if backoff_span is not None:
                 backoff_span.finish()
@@ -294,17 +318,18 @@ class LoadGenerator:
             # so delivered latencies remain end-to-end across retries. The
             # ClusterIP rotation advances per submit, so the retry lands on
             # the next pod rather than hammering the crashed one.
-            self.submit(request, on_response)
+            self.submit(call.request, call.on_response)
 
         self.simulator.call_in(delay, resend)
 
-    def _send_hedge(self, request, state, on_response) -> None:
+    def _send_hedge(self, call: _Call) -> None:
         """Send one duplicate of a slow request; first response settles."""
-        if state["done"] or state["hedged"]:
+        if call.done or call.hedged:
             return
-        state["hedged"] = True
-        state["hedge"] = None
+        call.hedged = True
+        call.hedge = None
         self.hedges += 1
+        request = call.request
         hedge = RecommendationRequest(
             request_id=self._next_request_id,
             session_id=request.session_id,
@@ -316,13 +341,13 @@ class LoadGenerator:
         self._next_request_id += 1
         if self.telemetry is not None:
             self._hedge_counter.inc()
-            state["hedge_span"] = self.telemetry.trace.begin(
+            call.hedge_span = self.telemetry.trace.begin(
                 "request",
                 hedge.request_id,
                 session_id=int(request.session_id),
                 hedge_of=request.request_id,
             )
-        self.submit(hedge, on_response)
+        self.submit(hedge, call.on_response)
 
     # -- Algorithm 2 main loop -----------------------------------------------
 

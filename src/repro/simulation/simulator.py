@@ -12,13 +12,19 @@ seconds). Every delay yielded by a process, every ``call_in`` offset and
 every ``call_at``/``run(until=...)`` deadline is likewise in virtual
 seconds. All timestamps elsewhere in the repo (metrics, access logs,
 telemetry spans) are readings of this clock — see ``docs/observability.md``.
+
+Lifetime: a run ends with :meth:`Simulator.close`, which closes every
+process still suspended and drops every pending event. A parked server
+worker or a sleeping control loop then no longer keeps its server, load
+generator or workload alive, so what a finished run allocated is freed
+by reference counting, without waiting for the cyclic collector.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.simulation.events import Signal
 
@@ -57,7 +63,9 @@ class _Process:
     """A spawned generator and the two callbacks that drive it.
 
     Both are bound once at spawn, so a process that sleeps or waits
-    schedules an existing bound method instead of a fresh closure.
+    schedules an existing bound method instead of a fresh closure. They
+    are dropped when the process ends or is closed, which breaks the
+    process's reference to itself.
     """
 
     __slots__ = ("simulator", "process", "signal", "step", "wake")
@@ -80,7 +88,9 @@ class _Process:
         try:
             yielded = self.process.send(send_value)
         except StopIteration:
-            self.simulator._live_processes -= 1
+            # Absent when a closed process is resumed.
+            self.simulator._processes.pop(self, None)
+            self.step = self.wake = None
             return
         # A plain float is by far the most common yield; float subclasses
         # (np.float64), ints and bools take the conversion below.
@@ -113,6 +123,14 @@ class _Process:
         simulator = self.simulator
         simulator.call_at(simulator.now + 0.0, self.step)
 
+    def close(self) -> None:
+        """Close the generator where it is suspended, running no code of
+        its own (``GeneratorExit`` at its ``yield``), and drop the
+        callbacks."""
+        self.process.close()
+        self.signal = None
+        self.step = self.wake = None
+
 
 class Simulator:
     """Virtual clock + event heap + process scheduler.
@@ -125,7 +143,8 @@ class Simulator:
         self.now: float = 0.0
         self._heap: List[Event] = []
         self._sequence = 0
-        self._live_processes = 0
+        #: Processes that have not returned, in spawn order.
+        self._processes: Dict[_Process, None] = {}
         self._cancelled_events = 0
         #: The ``until`` of the active ``run`` call, if any.
         self._until: Optional[float] = None
@@ -188,8 +207,9 @@ class Simulator:
         Returns the callable that steps the process in place; use it only
         to resume a process that yielded :data:`PARK`.
         """
-        self._live_processes += 1
-        step = _Process(self, process).step
+        started = _Process(self, process)
+        self._processes[started] = None
+        step = started.step
         self.call_in(0.0, step)
         return step
 
@@ -224,6 +244,24 @@ class Simulator:
         if until is not None:
             self.now = max(self.now, until)
         return self.now
+
+    def close(self) -> None:
+        """End the simulation: close every process that has not returned,
+        in spawn order, and drop every pending event, releasing its
+        callback. The clock stays where ``run`` left it; a second call
+        does nothing.
+
+        A run calls this once ``run`` is over, returning or raising, so a
+        suspended process no longer keeps what its frame refers to alive.
+        """
+        processes, self._processes = self._processes, {}
+        for process in processes:
+            process.close()
+        for event in self._heap:
+            event[3] = False
+            event[2] = None
+        self._heap.clear()
+        self._cancelled_events = 0
 
     @property
     def pending_events(self) -> int:

@@ -3,7 +3,8 @@
 Once :meth:`ExperimentRunner.run` returns, normally or by raising, the
 infrastructure holds no part of the run: its simulator, cluster, servers,
 spans and workload item pool live only as long as the caller's result
-and telemetry reach them.
+and telemetry reach them. An untraced run's objects are freed by
+reference counting: the run leaves nothing for the cyclic collector.
 """
 
 import gc
@@ -20,6 +21,7 @@ from repro.core.registry import AssetRegistry
 from repro.core.spec import ExperimentSpec, HardwareSpec
 from repro.obs import Telemetry
 from repro.workload.synthetic import SyntheticWorkloadGenerator
+from tests.golden.test_trace_digests import RESPONSES, RUNNER_SEED, RUNS, SCENARIOS
 
 #: Sharded and cached, so servers, aggregator and cache tiers all exist.
 SPEC = ExperimentSpec(
@@ -93,3 +95,55 @@ def test_tracked_objects_do_not_pile_up(runner):
         counts.append(len(gc.get_objects()))
     assert counts[0] - base < SLACK
     assert abs(counts[1] - counts[0]) < SLACK
+
+
+#: Every run spec of the golden gate, once each.
+GOLDEN_SPECS = {}
+for _name, _spec in {**SCENARIOS, **RUNS, **RESPONSES}.items():
+    if _spec not in GOLDEN_SPECS.values():
+        GOLDEN_SPECS[_name] = _spec
+
+
+@pytest.fixture(scope="module")
+def freed():
+    """``name -> (pool alive when run returned, objects gc.collect()
+    found)`` for an untraced run of each golden spec, measured with the
+    collector off, on a registry whose assets are already built."""
+    registry = AssetRegistry()
+    pools = []
+
+    class WatchedWorkload(SyntheticWorkloadGenerator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(weakref.ref(self._item_cdf._item_pool))
+
+    measured = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "SyntheticWorkloadGenerator", WatchedWorkload)
+        for spec in GOLDEN_SPECS.values():  # builds assets and memos
+            ExperimentRunner(registry=registry, seed=RUNNER_SEED).run(
+                replace(spec, duration_s=1.0)
+            )
+        for name, spec in GOLDEN_SPECS.items():
+            gc.collect()
+            gc.disable()
+            try:
+                ExperimentRunner(registry=registry, seed=RUNNER_SEED).run(spec)
+                alive = pools[-1]() is not None
+                measured[name] = (alive, gc.collect())
+            finally:
+                gc.enable()
+    return measured
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, spec in GOLDEN_SPECS.items() if spec.sharding is None]
+)
+def test_an_unsharded_run_leaves_no_cycle(name, freed):
+    """Requests, processes and servers are freed by reference counting."""
+    assert freed[name][1] == 0
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_the_item_pool_is_freed_when_run_returns(name, freed):
+    assert freed[name][0] is False

@@ -1,5 +1,6 @@
 """Discrete-event simulator core."""
 
+import gc
 import math
 
 import pytest
@@ -187,6 +188,76 @@ class TestSkippingAWait:
         sim.call_at(2.0, lambda: (resume(), log.append(("after", sim.now))))
         sim.run()
         assert log == [("parked", 0.0), ("resumed", 2.0), ("after", 2.0)]
+
+
+class TestClose:
+    """``close`` ends a run: every suspended process is closed where it
+    waits and every pending event is dropped."""
+
+    def test_close_ends_a_parked_and_a_sleeping_process(self):
+        sim = Simulator()
+        log = []
+
+        def parked():
+            log.append("parked")
+            yield PARK
+            log.append("resumed")
+
+        def sleeper():
+            yield 5.0
+            log.append("woke")
+
+        processes = [parked(), sleeper()]
+        resume = sim.spawn(processes[0])
+        sim.spawn(processes[1])
+        sim.run(until=1.0)
+        sim.close()
+        assert [p.gi_frame for p in processes] == [None, None]  # closed
+        resume()  # resuming a closed process does nothing
+        sim.run()
+        assert log == ["parked"] and sim.now == 1.0
+
+    def test_close_drops_pending_events(self):
+        sim = Simulator()
+        fired = []
+        event = sim.call_in(1.0, lambda: fired.append(True))
+        sim.close()
+        assert sim.pending_events == 0
+        assert event_state.cancelled(event)
+        sim.cancel(event)  # still a no-op
+        assert sim.run() == 0.0 and not fired
+
+    def test_a_second_close_does_nothing(self):
+        sim = Simulator()
+
+        def process():
+            yield PARK
+
+        sim.spawn(process())
+        sim.call_in(1.0, lambda: None)
+        sim.close()
+        sim.close()
+        assert sim.pending_events == 0 and sim.now == 0.0
+
+    def test_processes_leave_no_reference_cycle(self):
+        sim = Simulator()
+
+        def finished():
+            yield 1.0
+
+        def parked():
+            yield PARK
+
+        sim.spawn(finished())
+        sim.spawn(parked())
+        gc.collect()
+        gc.disable()
+        try:
+            sim.run()
+            sim.close()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSignals:
