@@ -11,7 +11,7 @@ the service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -49,6 +49,11 @@ class Pod:
     name: str
     instance_type: InstanceType
     server: Optional[EtudeInferenceServer] = None
+    #: Every server this pod ran, the current one last: a kubelet restart
+    #: adds one, and what a crashed server counted stays readable.
+    servers: List[EtudeInferenceServer] = field(
+        default_factory=list, repr=False, compare=False
+    )
     ready: bool = False
     ready_at: float = float("inf")
     #: Catalog shard this replica serves (0 on unsharded deployments).
@@ -560,5 +565,6 @@ class Cluster:
             ),
             tenant_fair_depth=template.tenant_fair_depth,
         )
+        pod.servers.append(pod.server)
         pod.ready = True
         pod.ready_at = self.simulator.now

@@ -429,10 +429,10 @@ class ExperimentRunner:
         generator = state.get("generator")
         service = state.get("service")
         deployment = state.get("deployment")
-        # Current pod servers only: a restarted pod starts fresh counters,
-        # so what a crashed server tallied is not included.
+        # Every server each pod ran: a restarted pod starts fresh
+        # counters, and what its crashed server tallied still counts.
         servers = (
-            [pod.server for pod in deployment.pods if pod.server is not None]
+            [server for pod in deployment.pods for server in pod.servers]
             if deployment is not None
             else []
         )

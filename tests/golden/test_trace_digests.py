@@ -305,6 +305,14 @@ def test_restarted_pods_serve(name, registry, deployments):
     ] == RESTARTED_COMPLETIONS[name]
 
 
+def test_crashed_servers_tallies_count(registry):
+    """The zone outage crashes shard 0's pod; what its first server
+    filled stays in the result, so every remote entry was a fill."""
+    cache = _run(RUNS["sharded-zones-chaos"], registry).cache
+    assert cache["remote_entries"] <= cache["fills"]
+    assert cache["fills"] == 479
+
+
 @pytest.mark.parametrize("name", sorted(INFRA_TESTS))
 def test_infra_test_digests(name, registry, stored):
     assert infra_test_digests(INFRA_TESTS[name], registry) == stored[name]
