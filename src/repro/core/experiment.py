@@ -100,7 +100,12 @@ class ExperimentRunner:
         The run's simulator and cluster are its own, never stored on the
         infrastructure: once this returns, normally or by raising, the
         servers, spans and workload item pool live only as long as the
-        result and the caller's ``telemetry`` reach them.
+        result and the caller's ``telemetry`` reach them. The simulator
+        is closed when it stops, so no suspended process keeps them
+        either: an untraced run is freed by reference counting when this
+        returns, without a pass of the cyclic collector. (A sharded
+        run's service and aggregator refer to each other; its servers
+        wait for the collector, its item pool does not.)
         """
         instance = instance_by_name(spec.hardware.instance_type)
         # ANN retrieval swaps the scoring head behind the same assets
