@@ -34,6 +34,18 @@ SPEC = ExperimentSpec(
 SLACK = 100
 
 
+def watched_workload(pools):
+    """A workload class that appends a weak reference to each item pool
+    it builds to ``pools``."""
+
+    class WatchedWorkload(SyntheticWorkloadGenerator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(weakref.ref(self._item_cdf._item_pool))
+
+    return WatchedWorkload
+
+
 @pytest.fixture
 def runner():
     return ExperimentRunner(registry=AssetRegistry(), seed=11)
@@ -45,17 +57,14 @@ def watched(monkeypatch):
     and a Telemetry class that takes the simulator's reference on bind."""
     refs = {"simulator": [], "pool": []}
 
-    class WatchedWorkload(SyntheticWorkloadGenerator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            refs["pool"].append(weakref.ref(self._item_cdf._item_pool))
-
     class WatchedTelemetry(Telemetry):
         def bind(self, simulator, start_sampler=True):
             refs["simulator"].append(weakref.ref(simulator))
             return super().bind(simulator, start_sampler)
 
-    monkeypatch.setattr(experiment, "SyntheticWorkloadGenerator", WatchedWorkload)
+    monkeypatch.setattr(
+        experiment, "SyntheticWorkloadGenerator", watched_workload(refs["pool"])
+    )
     return refs, WatchedTelemetry
 
 
@@ -111,15 +120,11 @@ def freed():
     collector off, on a registry whose assets are already built."""
     registry = AssetRegistry()
     pools = []
-
-    class WatchedWorkload(SyntheticWorkloadGenerator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            pools.append(weakref.ref(self._item_cdf._item_pool))
-
     measured = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiment, "SyntheticWorkloadGenerator", WatchedWorkload)
+        patch.setattr(
+            experiment, "SyntheticWorkloadGenerator", watched_workload(pools)
+        )
         for spec in GOLDEN_SPECS.values():  # builds assets and memos
             ExperimentRunner(registry=registry, seed=RUNNER_SEED).run(
                 replace(spec, duration_s=1.0)

@@ -338,22 +338,19 @@ def main() -> None:
     new = {name: fresh[name] for name in old if name in fresh}
     new.update(fresh)
     DIGESTS.write_text(json.dumps(new, indent=2) + "\n")
-    moved = 0
-    for name in sorted(set(old) | set(new)):
+    moved = sorted(name for name in {**old, **new} if old.get(name) != new.get(name))
+    for name in moved:
         if name not in new:
             print(f"removed {name}")
         elif name not in old:
             print(f"added   {name}")
-        elif old[name] != new[name]:
+        else:
             keys = sorted(
-                key for key in set(old[name]) | set(new[name])
+                key for key in {**old[name], **new[name]}
                 if old[name].get(key) != new[name].get(key)
             )
             print(f"changed {name}: {', '.join(keys)}")
-        else:
-            continue
-        moved += 1
-    print(f"{DIGESTS.name}: {len(new)} entries, {moved} added, removed or changed")
+    print(f"{DIGESTS.name}: {len(new)} entries, {len(moved)} added, removed or changed")
 
 
 if __name__ == "__main__":
