@@ -36,7 +36,7 @@ docs-check:
 	$(PYTHON) tools/docs_check.py
 
 .PHONY: test
-test: docs-check bench-smoke perfbench-selftest cache-smoke shard-smoke scheduler-smoke tenant-smoke
+test: docs-check bench-smoke perfbench-selftest
 	$(PYTHON) -m pytest tests/
 
 # The host-time benchmark's self-tests (perfbench/README.md). They run
@@ -45,33 +45,6 @@ test: docs-check bench-smoke perfbench-selftest cache-smoke shard-smoke schedule
 .PHONY: perfbench-selftest
 perfbench-selftest:
 	$(PYTHON) -m pytest perfbench/tests -q
-
-# Tiny deterministic cache run against a real model: the cache-on run must
-# hit, and every response must match the cache-off run's recommendations.
-.PHONY: cache-smoke
-cache-smoke:
-	$(PYTHON) tools/cache_smoke.py
-
-# Tiny deterministic sharding run against a real model: S=4 scatter-gather
-# must match the unsharded server request for request, and a shard crash
-# must degrade catalog coverage instead of flooding 5xxs.
-.PHONY: shard-smoke
-shard-smoke:
-	$(PYTHON) tools/shard_smoke.py
-
-# Deterministic heterogeneous-scheduler checks: split-fleet exactness,
-# mixed-vs-homogeneous tail under load, disabled-mode bit-identity.
-.PHONY: scheduler-smoke
-scheduler-smoke:
-	$(PYTHON) tools/scheduler_smoke.py
-
-# Deterministic tenant-fleet checks: co-located answers bit-identical to
-# each tenant served alone, shadow traffic never client-visible, canary
-# rollout with zero 5xx, and a 4x tenant storm that cannot starve the
-# co-tenant's SLO.
-.PHONY: tenant-smoke
-tenant-smoke:
-	$(PYTHON) tools/tenant_smoke.py
 
 # Line coverage over the unit suite (see README "Development"). Needs
 # pytest-cov; when it is absent the target explains and skips instead of

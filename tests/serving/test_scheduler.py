@@ -241,6 +241,23 @@ class TestHeterogeneousRuns:
         assert section["tuner"]["moves"] > 0
         assert section["tuner"]["linger_s"] < 0.002
 
+    def test_mixed_fleet_beats_the_homogeneous_tail(self):
+        """Under load the short-session head skips the batching linger
+        and the tuner climbs the linger down, so one CPU pod beside the
+        GPU lowers the p90 and answers every request."""
+        base = dict(
+            catalog_size=2_000, target_rps=300,
+            hardware=HardwareSpec("GPU-T4", 1), duration_s=15.0,
+        )
+        homogeneous = ExperimentRunner(seed=23).run(spec(**base))
+        mixed = ExperimentRunner(seed=23).run(
+            spec(scheduler="cpu=1,target=2,tol=0.2,epoch=3", **base)
+        )
+        assert homogeneous.error_requests == mixed.error_requests == 0
+        assert mixed.ok_requests == homogeneous.ok_requests
+        assert mixed.p90_ms < homogeneous.p90_ms
+        assert mixed.scheduler["tuner"]["converged"]
+
 
 class TestDeploymentGuards:
     def test_auxiliary_fleet_rejects_accelerators(self):

@@ -143,6 +143,7 @@ class TestRollingUpdate:
         )
         (rollout,) = result.tenancy["rollouts"]
         assert rollout["completed"] is True
+        assert rollout["pods_updated"] == 2
         versions = {event["version"] for event in rollout["events"]}
         assert len(versions) == 1
         assert next(iter(versions)).endswith("+next")  # the canary artifact
