@@ -532,9 +532,9 @@ class Cluster:
         A sharded pod's artifact version carries its shard, so each shard
         keys its results in its own keyspace of the shared remote cache.
         Each pod owns fresh clones of the tenant serving states: rollouts
-        bump versions pod by pod, so the state cannot be shared. The
-        clones are of the deploy-time states, so a pod restarted after a
-        rollout serves the pre-rollout versions again.
+        bump versions pod by pod, so the state cannot be shared. A rollout
+        writes its version into the template first, so a pod restarted or
+        added after it starts serves the rolled-out version.
         """
         service_profile = template.service_profile
         auxiliary = template.auxiliary

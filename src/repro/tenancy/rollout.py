@@ -19,6 +19,7 @@ the version gets a ``+r1`` rollout suffix.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cluster.kubernetes import Cluster, ModelDeployment
@@ -70,6 +71,16 @@ class TenantRollout:
         )
 
     def _run(self):
+        # Like Kubernetes, write the rollout into the pod template before
+        # replacing pods: a pod restarted or added from now on serves the
+        # new version. One version for every pod, so a pod restarted
+        # mid-rollout is not bumped twice.
+        template = self.deployment.template
+        tenants = [serving.clone() for serving in template.tenants]
+        (rolled,) = [s for s in tenants if s.name == self.tenant.name]
+        new_version = bumped_version(rolled)
+        rolled.artifact_version = new_version
+        self.deployment.template = dataclasses.replace(template, tenants=tenants)
         for pod in list(self.deployment.pods):
             server = pod.server
             if server is None or server.tenants is None:
@@ -77,7 +88,6 @@ class TenantRollout:
             serving = server.tenants.get(self.tenant.name)
             if serving is None:
                 continue
-            new_version = bumped_version(serving)
             # Out of rotation while the new artifact loads; queued work
             # keeps completing on the pod meanwhile.
             was_ready = pod.ready

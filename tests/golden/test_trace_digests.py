@@ -305,6 +305,19 @@ def test_restarted_pods_serve(name, registry, deployments):
     ] == RESTARTED_COMPLETIONS[name]
 
 
+def test_restarted_tenant_pod_serves_the_rolled_out_version(registry, deployments):
+    """Pod 0 restarts after the rollout of ``home``: like every other
+    pod, it serves the version the rollout reports."""
+    result = _run(RUNS["tenants-restart"], registry)
+    (rollout,) = result.tenancy["rollouts"]
+    (version,) = {event["version"] for event in rollout["events"]}
+    (deployment,) = deployments
+    assert {
+        pod.server.name: pod.server.tenants["home"].artifact_version
+        for pod in deployment.pods
+    } == {pod.server.name: version for pod in deployment.pods}
+
+
 def test_crashed_servers_tallies_count(registry):
     """The zone outage crashes shard 0's pod; what its first server
     filled stays in the result, so every remote entry was a fill."""
