@@ -19,7 +19,8 @@ Four groups of runs, each a few virtual seconds past provisioning:
   pod answering a pinned number of requests. Each stores the sha256 of
   an untraced run's ``RunResult.to_json()`` and of a traced run's
   trace. The traced run's result, without its ``stage_breakdown``,
-  hashes the same as the untraced one.
+  hashes the same as the untraced one, and so does each result when the
+  ``mp:workers=2`` execution backend runs the spec.
 - ``RESPONSES`` pins every response the load generator records, in
   record order, for the saturated CPU run, the ``t4`` and ``cpu``
   scenarios and a two-pod run whose client retries a crashed pod's
@@ -55,6 +56,7 @@ from repro.core.experiment import ExperimentRunner
 from repro.core.infra_test import run_infra_test
 from repro.core.registry import AssetRegistry
 from repro.core.spec import ExperimentSpec, HardwareSpec
+from repro.exec.backend import ExecTask, make_backend
 from repro.loadgen.retry import RetryPolicy
 from repro.metrics.collector import MetricsCollector
 from repro.obs import Telemetry
@@ -279,6 +281,19 @@ def test_trace_and_breakdown_digests(name, registry, stored):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_digests(name, registry, stored):
     assert run_digests(RUNS[name], registry) == stored[name]
+
+
+def test_mp_results_equal_the_serial_digests(stored):
+    """Serial equals mp: every ``RUNS`` spec run on two worker processes
+    hashes like the stored result of its serial run."""
+    tasks = [
+        ExecTask((name,), "experiment_run", {"spec": spec, "seed": RUNNER_SEED})
+        for name, spec in RUNS.items()
+    ]
+    outcomes = make_backend("mp:workers=2").run_tasks(tasks)
+    assert {
+        outcome.key[0]: _sha256(outcome.value.to_json()) for outcome in outcomes
+    } == {name: stored[name]["result"] for name in RUNS}
 
 
 @pytest.mark.parametrize("name", sorted(RESPONSES))
