@@ -114,13 +114,6 @@ class RetrievalConfig:
             options.append(f"nprobe={self.nprobe}")
         return "ivf" + (":" + ",".join(options) if options else "")
 
-    def describe(self) -> str:
-        """One-line human summary for CLI output."""
-        if not self.enabled:
-            return "exact catalog scan (ANN disabled)"
-        nlist = "auto (sqrt of materialized rows)" if self.nlist is None else self.nlist
-        return f"IVF-Flat, nlist={nlist}, nprobe={self.nprobe}"
-
     def effective_nlist(self, catalog_size: int, materialized_cap: int = 32768) -> int:
         """The centroid count an index built for ``catalog_size`` will use.
 

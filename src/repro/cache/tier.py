@@ -110,15 +110,6 @@ class CacheConfig:
         """The compact form :meth:`parse` accepts (for spec files)."""
         return format_options(self, _KEYS, head="policy", skip_defaults=True)
 
-    def describe(self) -> str:
-        local = (
-            f"{self.policy} x{self.capacity}" if self.capacity else "no local tier"
-        )
-        remote = (
-            f" + remote x{self.remote_capacity}" if self.remote_capacity else ""
-        )
-        return f"{local}{remote}, last-{self.window} clicks"
-
 
 class RemoteCacheTier:
     """The shared (deployment-wide) cache store.

@@ -69,9 +69,6 @@ class ChaosEvent:
     def fire(self, controller: "ChaosController") -> None:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return f"{self.kind}@{self.at_s:g}s"
-
 
 @dataclass(frozen=True)
 class PodCrash(ChaosEvent):
@@ -329,11 +326,6 @@ class ChaosSchedule:
                 kwargs[name] = cast(value)
             events.append(event_cls(**kwargs))
         return cls(events=tuple(events))
-
-    def describe(self) -> str:
-        if not self.events:
-            return "no chaos"
-        return ", ".join(event.describe() for event in self.events)
 
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""

@@ -107,17 +107,5 @@ class RoutingPolicy:
         """The compact form :meth:`parse` accepts (for spec files)."""
         return format_options(self, _KEYS, head="discipline", skip_defaults=True)
 
-    def describe(self) -> str:
-        name = (
-            "round-robin" if self.discipline == "rr"
-            else "least-outstanding-requests"
-        )
-        if self.eject_after is None:
-            return name
-        return (
-            f"{name}, eject after {self.eject_after} consecutive 503s "
-            f"for {self.cooldown_s:g} s"
-        )
-
 
 __all__ = ["RoutingPolicy", "DISCIPLINES", "partition_by_shard"]

@@ -108,16 +108,3 @@ class RetryPolicy:
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""
         return format_options(self, _KEYS)
-
-    def describe(self) -> str:
-        hedge = (
-            f", hedge after {self.hedge_after_s * 1000:.0f} ms"
-            if self.hedge_after_s is not None
-            else ""
-        )
-        return (
-            f"up to {self.max_retries} retries, backoff "
-            f"{self.base_backoff_s * 1000:.0f}->"
-            f"{self.max_backoff_s * 1000:.0f} ms x{self.multiplier:g}"
-            f"{hedge}"
-        )

@@ -168,29 +168,6 @@ class SchedulerConfig:
                 parts.append(f"{key}={format_value(value)}")
         return ",".join(parts) if parts else "cpu=1"
 
-    def describe(self) -> str:
-        """One-line human summary for CLI output."""
-        if not self.enabled:
-            return "disabled"
-        routing = []
-        if self.cpu_replicas:
-            routing.append(
-                f"{self.cpu_replicas}x {self.cpu_instance} pool "
-                f"(sessions <= {self.short_session} clicks or tight slack)"
-            )
-        else:
-            routing.append("no CPU pool")
-        tuner = (
-            f"tuner p{self.quantile:g} -> {self.target_p_ms:g} ms "
-            f"+/-{self.tolerance * 100:g}% every {self.epoch_s:g} s"
-            if self.tune
-            else "tuner off"
-        )
-        return (
-            f"{', '.join(routing)}; GPU batch {self.max_batch}/"
-            f"{self.linger_s * 1e3:g} ms; {tuner}"
-        )
-
     def initial_batching(self) -> Tuple[int, float]:
         """The (max_batch, linger_s) pair GPU pods start from."""
         return self.max_batch, self.linger_s

@@ -167,19 +167,5 @@ class AdmissionPolicy:
         """The compact form :meth:`parse` accepts (for spec files)."""
         return format_options(self, _KEYS, head="discipline", skip_defaults=True)
 
-    def describe(self) -> str:
-        extra = ""
-        if self.discipline == "lifo":
-            extra = f" (threshold {self.lifo_threshold})"
-        elif self.discipline == "codel":
-            extra = (
-                f" (target {self.codel_target_s * 1000:g} ms / "
-                f"interval {self.codel_interval_s * 1000:g} ms)"
-            )
-        return (
-            f"{self.discipline}{extra}, "
-            f"shed {self.slack_s * 1000:g} ms before deadline"
-        )
-
 
 __all__ = ["AdmissionPolicy", "CoDelState", "DISCIPLINES"]

@@ -63,11 +63,6 @@ class FallbackConfig:
         """The compact form :meth:`parse` accepts (for spec files)."""
         return format_options(self, _KEYS)
 
-    def describe(self) -> str:
-        return (
-            f"popularity top-{self.top_k} within {self.budget_s * 1000:g} ms"
-        )
-
 
 class PopularityFallback:
     """Precomputed popularity top-k with the ``SessionRecModel`` surface."""

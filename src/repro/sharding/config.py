@@ -80,12 +80,6 @@ class ShardingConfig:
             parts.append("partial=off")
         return ",".join(parts)
 
-    def describe(self) -> str:
-        if not self.enabled:
-            return "sharding off"
-        partial = "partial results" if self.allow_partial else "all-or-503"
-        return f"{self.shards} shards, {partial}"
-
 
 def shard_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
     """Contiguous ``[lo, hi)`` slices partitioning ``total`` items.
