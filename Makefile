@@ -30,7 +30,8 @@ install:
 	$(PYTHON) setup.py develop
 
 # Validate the code examples in docs/*.md and README.md against the
-# source tree (imports must resolve, CLI lines must parse).
+# source tree (imports must resolve, CLI lines must parse, backticked
+# paths and `make` targets must exist).
 .PHONY: docs-check
 docs-check:
 	$(PYTHON) tools/docs_check.py

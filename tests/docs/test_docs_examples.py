@@ -172,6 +172,21 @@ class TestCatalog:
         assert "planted_requests_total" in capsys.readouterr().out
 
 
+class TestReferences:
+    def test_missing_path_and_make_target_flagged(self):
+        text = (
+            "See `tests/golden/test_trace_digests.py::test_run_digests`,\n"
+            "`core/spec.py` and `docs/no_such_page.md`.\n"
+            "Run `make docs-check`, then `make no-such-target`.\n"
+            "```\n`fenced/only.py` and `make fenced`\n```\n"
+        )
+        targets = docs_check.makefile_targets()
+        assert docs_check.check_references(text, "doc.md", targets) == [
+            "doc.md:2: no file docs/no_such_page.md",
+            "doc.md:3: no Makefile target 'no-such-target'",
+        ]
+
+
 class TestRealDocs:
     def test_shipped_documentation_is_clean(self, capsys):
         """The committed docs/README examples must validate — the same

@@ -29,8 +29,13 @@ appear backticked in ``docs/*.md`` or ``README.md``. A name counts when it
 is an identifier inside an inline code span, so ``chaos_events_total{kind}``
 documents ``chaos_events_total``.
 
-Run directly:  ``python tools/docs_check.py`` (``src/`` is added to the
-import path automatically, like the other ``tools/`` scripts).
+References cannot go stale either: every repository path an inline code
+span names (one with a ``/`` ending in ``.py``, ``.md`` or ``.json``,
+resolved against the repository root, ``src/`` and ``src/repro/``) must
+exist, and every ``make <target>`` span must name a Makefile target.
+
+Run directly:  ``python tools/docs_check.py`` (it adds ``src/`` to the
+import path itself).
 """
 
 from __future__ import annotations
@@ -55,6 +60,10 @@ FLAG_ROW_RE = re.compile(r"^\|\s*`(--[\w-]+)[^`]*`\s*\|([^|]*)\|")
 
 INLINE_CODE_RE = re.compile(r"`([^`]+)`")
 IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
+#: A repository path inside inline code: ``tests/golden/x.py``, ``core/spec.py``.
+PATH_RE = re.compile(r"[\w.-]+(?:/[\w.-]+)+\.(?:py|md|json)\b")
+PATH_ROOTS = (REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro")
+MAKE_RE = re.compile(r"make ([\w-]+)")
 #: Calls whose literal first argument names an instrument or a span.
 NAMING_CALLS = {
     "counter": "instrument", "gauge": "instrument", "histogram": "instrument",
@@ -272,18 +281,45 @@ def chaos_span_names() -> Dict[str, str]:
     }
 
 
+def inline_code(text: str) -> Iterator[Tuple[int, str]]:
+    """(line number, body) of each inline code span outside fenced blocks."""
+    fenced = False
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.strip().startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            for code in INLINE_CODE_RE.findall(line):
+                yield number, code
+
+
 def documented_identifiers(texts) -> Set[str]:
     """Identifiers inside inline code spans, outside fenced blocks."""
-    identifiers: Set[str] = set()
-    for text in texts:
-        fenced = False
-        for line in text.splitlines():
-            if line.strip().startswith("```"):
-                fenced = not fenced
-            elif not fenced:
-                for code in INLINE_CODE_RE.findall(line):
-                    identifiers.update(IDENTIFIER_RE.findall(code))
-    return identifiers
+    return {
+        identifier
+        for text in texts
+        for _number, code in inline_code(text)
+        for identifier in IDENTIFIER_RE.findall(code)
+    }
+
+
+def makefile_targets() -> Set[str]:
+    text = (REPO_ROOT / "Makefile").read_text()
+    return set(re.findall(r"^([\w-]+)\s*:(?!=)", text, re.MULTILINE))
+
+
+def check_references(text: str, display, targets: Set[str]) -> List[str]:
+    """Every repository path and ``make`` target the text backticks exists."""
+    problems = []
+    for number, code in inline_code(text):
+        for path in PATH_RE.findall(code):
+            if not any((root / path).exists() for root in PATH_ROOTS):
+                problems.append(f"{display}:{number}: no file {path}")
+        make = MAKE_RE.match(code)
+        if make and make.group(1) not in targets:
+            problems.append(
+                f"{display}:{number}: no Makefile target {make.group(1)!r}"
+            )
+    return problems
 
 
 def check_catalog(texts, source_paths) -> List[str]:
@@ -321,6 +357,7 @@ def check_file(path: Path) -> Tuple[List[str], int]:
             problems.extend(check_bash_block(body, where))
     table_problems, rows = check_flag_table_rows(text, display)
     problems.extend(table_problems)
+    problems.extend(check_references(text, display, makefile_targets()))
     blocks += rows
     return problems, blocks
 
