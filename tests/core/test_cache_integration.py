@@ -61,10 +61,6 @@ class TestSpecWiring:
     def test_specfile_omits_unset_cache(self):
         assert "cache" not in spec_to_dict(spec())
 
-    def test_plain_run_has_no_cache_section(self):
-        result = ExperimentRunner(seed=22).run(spec(duration_s=10.0))
-        assert result.cache is None
-
 
 class TestSingleflightCoalescing:
     """A burst of concurrent same-prefix requests costs ONE inference:

@@ -1,8 +1,9 @@
 """The FEATURES table: every optional spec dimension, checked one way.
 
 For each row: its text coerces to the config, a config passes through
-as itself, the spec file round-trips it, an unset dimension stays out of
-the written document, and each off value is stored as None. Each
+as itself, the spec file writes it as pinned text and round-trips it, an
+unset dimension stays out of the written document, and each off value is
+stored as None. Each
 CONFLICTS pair is rejected when a spec is built, with its message.
 """
 
@@ -87,6 +88,23 @@ SAMPLES = {
     ),
 }
 
+#: field -> what the spec file stores for its sample: the text users read
+#: and diff, so a change to it is a change of interface.
+WRITTEN = {
+    "retry": "max=3,base=0.02,cap=1,mult=2,jitter=0.25,hedge=0.2",
+    "chaos": "crash@10:pod=0:restart=5",
+    "slo_deadline_s": 0.05,
+    "admission": "lifo,slack=0.005,depth=128",
+    "fallback": "budget=0.003,topk=10",
+    "routing": "rr,eject=5,cooldown=30,lag=2",
+    "cache": "segmented,capacity=2048,ttl=30,remote=65536",
+    "sharding": "4,partial=off",
+    "retrieval": "ivf:nlist=32,nprobe=4",
+    "scheduler": "cpu=2,short=6",
+    "zones": 3,
+    "tenants": "a=stamp:3,slo=60;b=narm:1,canary=0.1;fair=32",
+}
+
 #: (field, a value that means "off") for every dimension with an off state.
 OFF_VALUES = [
     ("cache", "capacity=0"),
@@ -126,7 +144,7 @@ class TestFeatureTable:
         """A new ExperimentSpec field without a FEATURES row fails here."""
         optional = {f.name for f in fields(ExperimentSpec)} - CORE_FIELDS
         assert sorted(f.field for f in FEATURES) == sorted(optional)
-        assert set(SAMPLES) == optional
+        assert set(SAMPLES) == set(WRITTEN) == optional
 
     def test_keys_and_flags_are_unique(self):
         assert len({f.key for f in FEATURES}) == len(FEATURES)
@@ -152,6 +170,7 @@ class TestEveryDimension:
         original = spec(**{feature.field: text})
         document = spec_to_dict(original)
         assert document[feature.key] == written(feature, expected)
+        assert document[feature.key] == WRITTEN[feature.field]
         restored, _slo = spec_from_dict(document)
         assert restored == original
 

@@ -60,10 +60,6 @@ class TestSpecWiring:
         for key in ("slo_deadline_s", "admission", "routing", "fallback"):
             assert key not in document
 
-    def test_plain_run_has_no_overload_section(self):
-        result = ExperimentRunner(seed=22).run(spec(duration_s=10.0))
-        assert result.overload is None
-
 
 class TestDisabledOverloadDeterminism:
     """Configured-but-idle overload protection must not perturb a run —

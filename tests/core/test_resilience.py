@@ -96,10 +96,6 @@ class TestInstrumentedResilienceRun:
         assert crash_span.start == crash_span.end == fired["at_s"]
         assert crash_span.attrs == {"pod_index": 0}
 
-    def test_plain_run_has_no_resilience_section(self):
-        result = ExperimentRunner(seed=22).run(spec(duration_s=10.0))
-        assert result.resilience is None
-
 
 class TestInfraTestResilience:
     def test_crash_recover_with_retries_on_the_bare_server(self):

@@ -39,10 +39,6 @@ class TestSpecWiring:
         # The default is omitted so old spec files stay byte-stable.
         assert "tenants" not in spec_to_dict(spec())
 
-    def test_plain_run_has_no_tenancy_section(self):
-        result = ExperimentRunner(seed=22).run(spec(duration_s=10.0))
-        assert result.tenancy is None
-
 
 class TestDisabledDeterminism:
     """With ``--tenants`` unset no tenancy object exists anywhere and a
