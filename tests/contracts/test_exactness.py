@@ -74,35 +74,35 @@ def replay(simulator, submit):
     return responses
 
 
-def cpu_profile():
-    """A one-op cost profile: answers never depend on it."""
+def one_op_profile():
+    """A CPU cost profile of one op: answers never depend on it."""
     trace = CostTrace()
     trace.append(CostRecord(op="linear", param_bytes=1e6, write_bytes=1e5))
     return LatencyModel(CPU_E2.device).profile(trace)
 
 
-def cpu_server(simulator, model, **kwargs):
+def server(simulator, model, instance=CPU_E2, service_profile=None, **kwargs):
     return EtudeInferenceServer(
-        simulator, CPU_E2.device, cpu_profile(), np.random.default_rng(SEED),
-        model=model, **kwargs,
+        simulator, instance.device, service_profile or one_op_profile(),
+        np.random.default_rng(SEED), model=model, **kwargs,
     )
+
+
+def model(kind):
+    return create_model(kind, ModelConfig.for_catalog(CATALOG, top_k=TOP_K))
 
 
 def serve_alone(model):
     """The stream served by one CPU server of ``model``."""
     simulator = Simulator()
-    return replay(simulator, cpu_server(simulator, model).submit)
-
-
-def stamp_model():
-    return create_model("stamp", ModelConfig.for_catalog(CATALOG, top_k=TOP_K))
+    return replay(simulator, server(simulator, model).submit)
 
 
 @pytest.fixture(scope="module")
 def stamp():
     """The stamp model and what it answers served alone."""
-    model = stamp_model()
-    return SimpleNamespace(model=model, responses=serve_alone(model))
+    stamp = model("stamp")
+    return SimpleNamespace(model=stamp, responses=serve_alone(stamp))
 
 
 def cached(stamp):
@@ -111,21 +111,20 @@ def cached(stamp):
     # (docs/caching.md, "Choosing the window").
     config = CacheConfig(capacity=1024, window=80, ttl_s=0.0)
     simulator = Simulator()
-    server = cpu_server(simulator, stamp.model, profile=ActixProfile(cache=config))
-    candidate = replay(simulator, server.submit)
-    assert server.cache.hit_rate() > 0
+    pod = server(simulator, stamp.model, profile=ActixProfile(cache=config))
+    candidate = replay(simulator, pod.submit)
+    assert pod.cache.hit_rate() > 0
     return stamp.responses, candidate
 
 
 def sharded(stamp):
     simulator = Simulator()
     shards = [
-        cpu_server(simulator, scorer, name=f"shard{index}")
+        server(simulator, scorer, name=f"shard{index}")
         for index, scorer in enumerate(build_shard_scorers(stamp.model, 4))
     ]
     aggregator = ScatterGatherAggregator(
-        simulator, ShardingConfig(shards=4),
-        [server.submit for server in shards],
+        simulator, ShardingConfig(shards=4), [pod.submit for pod in shards],
         network_delay=lambda: 0.0005, top_k=TOP_K,
     )
     candidate = replay(simulator, aggregator.scatter)
@@ -135,19 +134,16 @@ def sharded(stamp):
 
 def scheduled(_stamp):
     registry = AssetRegistry()
-    model = registry.model("gru4rec", CATALOG)
+    gru4rec = registry.model("gru4rec", CATALOG)
 
-    def server(simulator, instance):
+    def pod(simulator, instance):
         profile = registry.profile("gru4rec", CATALOG, instance.device, "jit")
-        return EtudeInferenceServer(
-            simulator, instance.device, profile, np.random.default_rng(SEED),
-            model=model,
-        )
+        return server(simulator, gru4rec, instance, profile)
 
     simulator = Simulator()
-    reference = replay(simulator, server(simulator, GPU_T4).submit)
+    reference = replay(simulator, pod(simulator, GPU_T4).submit)
     simulator = Simulator()
-    pods = {"gpu": server(simulator, GPU_T4), "cpu": server(simulator, CPU_E2)}
+    pods = {"gpu": pod(simulator, GPU_T4), "cpu": pod(simulator, CPU_E2)}
     dispatcher = QueryDispatcher(SchedulerConfig())
 
     def dispatch(request, respond):
@@ -161,25 +157,24 @@ def scheduled(_stamp):
 
 def colocated(stamp):
     fleet = TenancyConfig.parse("a=stamp:3;b=narm:1")
-    models = {"stamp": stamp.model, "narm": create_model(
-        "narm", ModelConfig.for_catalog(CATALOG, top_k=TOP_K)
-    )}
-    alone = {"stamp": stamp.responses, "narm": serve_alone(models["narm"])}
+    narm = model("narm")
+    models = {"stamp": stamp.model, "narm": narm}
+    answers = {"stamp": stamp.responses, "narm": serve_alone(narm)}
+    alone = {tenant.name: answers[tenant.model] for tenant in fleet.tenants}
     simulator = Simulator()
-    server = cpu_server(simulator, None, tenants={
+    host = server(simulator, None, tenants={
         tenant.name: TenantServing(
             config=tenant, model=models[tenant.model],
-            service_profile=cpu_profile(), artifact_version=f"v0-{tenant.name}",
+            service_profile=one_op_profile(), artifact_version=f"v0-{tenant.name}",
         )
         for tenant in fleet.tenants
     })
-    splitter = TrafficSplitter(fleet, server.submit, simulator)
-    kind = {tenant.name: tenant.model for tenant in fleet.tenants}
+    splitter = TrafficSplitter(fleet, host.submit, simulator)
     reference = {}
 
     def split(request, respond):
         splitter.submit(request, respond)
-        reference[request.request_id] = alone[kind[request.tenant]][request.request_id]
+        reference[request.request_id] = alone[request.tenant][request.request_id]
 
     candidate = replay(simulator, split)
     assert all(tally.ok for tally in splitter.tallies.values())
