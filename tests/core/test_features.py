@@ -3,8 +3,8 @@
 For each row: its text coerces to the config, a config passes through
 as itself, the spec file writes it as pinned text and round-trips it, an
 unset dimension stays out of the written document, and each off value is
-stored as None. Each
-CONFLICTS pair is rejected when a spec is built, with its message.
+stored as None. Each CONFLICTS pair is rejected when a spec is built,
+with its message.
 """
 
 from dataclasses import fields, replace
