@@ -31,6 +31,7 @@ code path is bit-identical to the paper-faithful server.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -58,6 +59,9 @@ if TYPE_CHECKING:
     from repro.obs.trace import Span
     from repro.tenancy.fleet import TenantServing
 
+#: One parked request: (request, respond, arrival_time).
+QueueEntry = Tuple[RecommendationRequest, ResponseCallback, float]
+
 
 def _split_payload(payload) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Unpack a cached result into ``(items, scores)``.
@@ -69,26 +73,6 @@ def _split_payload(payload) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]
     if type(payload) is tuple:
         return payload
     return payload, None
-
-
-def cacheable_result(payload) -> bool:
-    """Whether a result is allowed into the cache tiers.
-
-    Only full-quality model output may be written: a degraded answer — a
-    fallback-tier response, or a scatter-gather merge with
-    ``coverage < 1.0`` — would otherwise keep being served for a whole
-    TTL after the incident that produced it has cleared. Raw payloads
-    (top-k arrays, ``(items, scores)`` pairs, or ``None`` on the
-    latency-only model-less path) carry no quality flags and are always
-    full quality by construction.
-    """
-    if isinstance(payload, RecommendationResponse):
-        return (
-            payload.ok
-            and not payload.degraded
-            and payload.coverage >= 1.0
-        )
-    return True
 
 
 def shard_scoped_version(artifact_version: str, model) -> str:
@@ -179,9 +163,6 @@ class EtudeInferenceServer:
                 version=shard_scoped_version(artifact_version, model),
                 remote=remote_cache,
             )
-        #: Fills refused because the result was not full quality
-        #: (degraded / partial coverage) — see ``cacheable_result``.
-        self.cache_fill_rejected = 0
         self._remote_hop = NetworkHop()
         #: Singleflight leadership: request id -> the cache key whose
         #: flight this request's inference will settle.
@@ -289,10 +270,7 @@ class EtudeInferenceServer:
                     help="inverted lists visited across all ANN queries",
                 )
 
-        # Queue entries: (request, respond, arrival_time).
-        self._queue: Deque[Tuple[RecommendationRequest, ResponseCallback, float]] = (
-            deque()
-        )
+        self._queue: Deque[QueueEntry] = deque()
         self._work_name = f"{name}-work"
         self._linger_name = f"{name}-linger"
         self._work_signal = Signal(self._work_name)
@@ -433,7 +411,7 @@ class EtudeInferenceServer:
         )
         value = cache.lookup_local(key, now)
         if value is not MISSING:
-            self._serve_cache_hit(request, respond, value, tier="local")
+            self._serve_cached(request, respond, value, "local")
             return True
         if cache.flight_exists(key):
             cache.join_flight(key, (request, respond, now))
@@ -478,60 +456,44 @@ class EtudeInferenceServer:
         if value is not MISSING:
             cache.fill_local(key, value, now)
             del self._flight_keys[request.request_id]
-            self._serve_cache_hit(request, respond, value, tier="remote")
+            self._serve_cached(request, respond, value, "remote")
             for waiter, waiter_respond, joined_at in cache.finish_flight(key):
-                self._serve_follower(waiter, waiter_respond, value, joined_at)
+                self._serve_cached(
+                    waiter, waiter_respond, value, joined_at=joined_at
+                )
             return
         # Remote miss: the leader proceeds onto the normal inference path,
         # its flight stays open for followers arriving meanwhile.
         self._enqueue(request, respond)
 
-    def _serve_cache_hit(
+    def _serve_cached(
         self,
         request: RecommendationRequest,
         respond: ResponseCallback,
         payload,
-        tier: str,
+        tier: str = "coalesced",
+        joined_at: Optional[float] = None,
     ) -> None:
-        """Answer a hit within the server's HTTP handling overhead."""
+        """Answer from a cached result within the HTTP handling overhead:
+        a hit on ``tier``, or a coalesced follower parked since
+        ``joined_at`` behind the leader whose fresh result this is."""
         items, scores = _split_payload(payload)
         now = self.simulator.now
         http_s = self._http_overhead()
         if self.telemetry is not None:
             trace = self.telemetry.trace
-            trace.record("sent", request.request_id, request.sent_at, now)
+            if joined_at is None:
+                # A follower recorded its ``sent`` span at intake.
+                trace.record("sent", request.request_id, request.sent_at, now)
+                self._cache_hit_counters[tier].inc()
             trace.record(
                 "cache_hit", request.request_id, now, now + http_s, tier=tier
             )
-            self._cache_hit_counters[tier].inc()
+        queue_s = 0.0 if joined_at is None else now - joined_at
         self.simulator.call_in(
             http_s,
             lambda: self._answer(
-                request, respond, items=items, scores=scores, cache_hit=True
-            ),
-        )
-
-    def _serve_follower(
-        self,
-        request: RecommendationRequest,
-        respond: ResponseCallback,
-        payload,
-        joined_at: float,
-    ) -> None:
-        """Answer a coalesced follower from the leader's fresh result."""
-        items, scores = _split_payload(payload)
-        now = self.simulator.now
-        parked_s = now - joined_at
-        http_s = self._http_overhead()
-        if self.telemetry is not None:
-            self.telemetry.trace.record(
-                "cache_hit", request.request_id, now, now + http_s,
-                tier="coalesced",
-            )
-        self.simulator.call_in(
-            http_s,
-            lambda: self._answer(
-                request, respond, queue_s=parked_s, items=items,
+                request, respond, queue_s=queue_s, items=items,
                 scores=scores, cache_hit=True,
             ),
         )
@@ -564,23 +526,21 @@ class EtudeInferenceServer:
     def _resolve_flight_ok(self, request: RecommendationRequest, payload) -> None:
         """Leader inference finished: fill the tiers, answer followers.
 
-        ``payload`` is the raw result — top-k items, or an
+        ``payload`` is the raw model result — top-k items, or an
         ``(items, scores)`` pair on shard replicas (cached as-is so hits
-        keep the scores the aggregator's merge needs). Only called with
-        the cache on.
+        keep the scores the aggregator's merge needs). A degraded answer
+        never gets here: a shed leader settles through
+        ``_resolve_flight_fail``, and partial merges happen in the
+        aggregator, which has no cache. Only called with the cache on.
         """
         key = self._flight_keys.pop(request.request_id, None)
         if key is None:
             return
-        now = self.simulator.now
-        if cacheable_result(payload):
-            self.cache.fill(key, payload, now)
-        else:
-            # Degraded / partial results answer their followers but are
-            # never written into either tier (docs/availability.md).
-            self.cache_fill_rejected += 1
+        self.cache.fill(key, payload, self.simulator.now)
         for waiter, waiter_respond, joined_at in self.cache.finish_flight(key):
-            self._serve_follower(waiter, waiter_respond, payload, joined_at)
+            self._serve_cached(
+                waiter, waiter_respond, payload, joined_at=joined_at
+            )
 
     def _resolve_flight_fail(
         self, request: RecommendationRequest, crashed: bool = False
@@ -693,9 +653,7 @@ class EtudeInferenceServer:
             ),
         )
 
-    def _next_viable(
-        self,
-    ) -> Optional[Tuple[RecommendationRequest, ResponseCallback, float]]:
+    def _next_viable(self) -> Optional[QueueEntry]:
         """Pop queue entries per the admission discipline, shedding the
         non-viable ones, until a still-viable entry (or None) surfaces.
 
@@ -850,61 +808,96 @@ class EtudeInferenceServer:
         profile = self.profile
         return profile.request_overhead_s * self._jitter(profile.jitter_sigma)
 
-    def _respond_ok(
+    def _complete(
         self,
         request: RecommendationRequest,
         respond: ResponseCallback,
         inference_s: float,
         batch_size: int,
-        queue_s: float = 0.0,
-    ) -> bool:
-        """Deliver a 200 — or a 503 if the server died meanwhile.
+        started: float,
+        arrival: float,
+        batch_id: int,
+    ) -> None:
+        """Deliver an executed request's 200 — or a 503 if the server
+        died meanwhile — then log the exchange.
 
-        Returns whether the client actually saw the 200, so callers
-        logging the exchange record the delivered status.
+        The access record is written at delivery, with the status the
+        client actually saw: a crash between completion and delivery
+        turns the response into a 503, and the log must say so rather
+        than claim a 200 nobody received.
         """
-        if not self.healthy:
+        now = self.simulator.now
+        if self.healthy:
+            items = None
+            scores = None
+            model = self.model
+            if self.tenants is not None:
+                serving = self._tenant_serving(request)
+                if serving is not None:
+                    model = serving.model
+            if model is not None:
+                if hasattr(model, "recommend_with_scores"):
+                    # Shard replica: score only this pod's catalog slice and
+                    # keep the scores — the scatter-gather merge needs them.
+                    items, scores = model.recommend_with_scores(
+                        request.session_items
+                    )
+                else:
+                    items = model.recommend(request.session_items)
+            if self.cache is not None:
+                self._resolve_flight_ok(
+                    request, items if scores is None else (items, scores)
+                )
+            respond(
+                RecommendationResponse(
+                    request_id=request.request_id,
+                    status=HTTP_OK,
+                    completed_at=now,
+                    latency_s=now - request.sent_at,
+                    inference_s=inference_s,
+                    queue_s=started - arrival,
+                    batch_size=batch_size,
+                    items=items,
+                    scores=scores,
+                )
+            )
+            self.completed += 1
+            if self.telemetry is not None:
+                self._completed_counter.inc()
+            status = HTTP_OK
+        else:
             self._resolve_flight_fail(request, crashed=True)
             self._fail(request, respond)
-            return False
-        items = None
-        scores = None
-        model = self.model
-        if self.tenants is not None:
-            serving = self._tenant_serving(request)
-            if serving is not None:
-                model = serving.model
-        if model is not None:
-            if hasattr(model, "recommend_with_scores"):
-                # Shard replica: score only this pod's catalog slice and
-                # keep the scores — the scatter-gather merge needs them.
-                items, scores = model.recommend_with_scores(
-                    request.session_items
+            status = HTTP_SERVICE_UNAVAILABLE
+        if self.access_log is not None:
+            self.access_log.append(
+                AccessRecord(
+                    request_id=request.request_id,
+                    arrived_at=arrival,
+                    started_at=started,
+                    completed_at=now,
+                    batch_id=batch_id,
+                    batch_size=batch_size,
+                    status=status,
                 )
-            else:
-                items = model.recommend(request.session_items)
-        if self.cache is not None:
-            self._resolve_flight_ok(
-                request, items if scores is None else (items, scores)
             )
-        now = self.simulator.now
-        respond(
-            RecommendationResponse(
-                request_id=request.request_id,
-                status=HTTP_OK,
-                completed_at=now,
-                latency_s=now - request.sent_at,
-                inference_s=inference_s,
-                queue_s=queue_s,
-                batch_size=batch_size,
-                items=items,
-                scores=scores,
-            )
-        )
-        self.completed += 1
-        if self.telemetry is not None:
-            self._completed_counter.inc()
-        return True
+
+    def _dequeuer(self) -> Callable[[], Optional[QueueEntry]]:
+        """What a worker process takes its next queue entry with, chosen
+        once when the process starts: the paper's plain ``popleft``, a
+        pop that keeps the tenants' queued counts, or, under admission
+        control, ``_next_viable``, which returns None when everything
+        left was shed."""
+        if self.admission is not None:
+            return self._next_viable
+        if self._tenant_queued is not None:
+            return self._pop_counted
+        return self._queue.popleft
+
+    def _pop_counted(self) -> QueueEntry:
+        entry = self._queue.popleft()
+        self._note_dequeued(entry[0])
+        return entry
 
     # -- CPU path -------------------------------------------------------------------
 
@@ -956,22 +949,18 @@ class EtudeInferenceServer:
             resume()
 
     def _cpu_worker(self, index: int):
+        queue = self._queue
+        dequeue = self._dequeuer()
         while True:
-            if not self._queue:
+            if not queue:
                 self._parked.append(self._workers[index])
                 yield PARK
                 continue
-            if self.admission is None:
-                request, respond, arrival = self._queue.popleft()
-                if self._tenant_queued is not None:
-                    self._note_dequeued(request)
-            else:
-                entry = self._next_viable()
-                if entry is None:
-                    continue  # everything queued was doomed and got shed
-                request, respond, arrival = entry
+            entry = dequeue()
+            if entry is None:
+                continue  # everything queued was doomed and got shed
+            request, respond, arrival = entry
             started = self.simulator.now
-            queue_s = started - arrival
             if self.telemetry is not None:
                 queued_span = self._queued_spans.pop(request.request_id, None)
                 if queued_span is not None:
@@ -984,18 +973,6 @@ class EtudeInferenceServer:
             yield http_s + inference_s
             self._active_workers -= 1
             self._batch_counter += 1
-            if self.access_log is not None:
-                self.access_log.append(
-                    AccessRecord(
-                        request_id=request.request_id,
-                        arrived_at=arrival,
-                        started_at=started,
-                        completed_at=self.simulator.now,
-                        batch_id=self._batch_counter,
-                        batch_size=1,
-                        status=HTTP_OK if self.healthy else HTTP_SERVICE_UNAVAILABLE,
-                    )
-                )
             if self.telemetry is not None:
                 trace = self.telemetry.trace
                 rid = request.request_id
@@ -1010,8 +987,9 @@ class EtudeInferenceServer:
                 self._batch_size_hist.observe(1)
             if self.retrieval is not None:
                 self._note_retrieval(request.request_id, started, inference_s)
-            self._respond_ok(
-                request, respond, inference_s, batch_size=1, queue_s=queue_s
+            self._complete(
+                request, respond, inference_s, 1, started, arrival,
+                self._batch_counter,
             )
 
     # -- GPU path ---------------------------------------------------------------------
@@ -1050,6 +1028,8 @@ class EtudeInferenceServer:
     def _gpu_executor(self):
         simulator = self.simulator
         queue = self._queue
+        dequeue = self._dequeuer()
+        complete = self._complete
         while True:
             # Re-read the knobs every iteration: the heterogeneous
             # scheduler's tuner swaps ``self.batching`` between epochs,
@@ -1083,26 +1063,16 @@ class EtudeInferenceServer:
                     yield wake
                     self._linger_wake = None
                     simulator.cancel(deadline_timer)
-            take = min(len(queue), max_batch)
-            if take == 0:
+            # Under admission control only still-viable requests are
+            # taken: doomed work must not occupy a GPU batch slot.
+            batch = []
+            while queue and len(batch) < max_batch:
+                entry = dequeue()
+                if entry is None:
+                    break
+                batch.append(entry)
+            if not batch:
                 continue
-            if self.admission is None:
-                batch = [queue.popleft() for _ in range(take)]
-                if self._tenant_queued is not None:
-                    for entry in batch:
-                        self._note_dequeued(entry[0])
-            else:
-                # Assemble the batch from still-viable requests only:
-                # doomed work must not occupy a GPU batch slot.
-                batch = []
-                while queue and len(batch) < max_batch:
-                    entry = self._next_viable()
-                    if entry is None:
-                        break
-                    batch.append(entry)
-                if not batch:
-                    continue
-                take = len(batch)
             if self.cache is not None:
                 # GPU batches execute unique keys only: intake coalescing
                 # already guarantees this, assemble_unique enforces it —
@@ -1119,7 +1089,7 @@ class EtudeInferenceServer:
                     )
                 if not batch:
                     continue
-                take = len(batch)
+            take = len(batch)
             started = simulator.now
             batch_time = self._gpu_batch_time(take, batch)
             yield batch_time
@@ -1141,9 +1111,9 @@ class EtudeInferenceServer:
                     )
                 simulator.call_in(
                     http_s,
-                    self._make_responder(
-                        request, respond, batch_time, take, started, arrival,
-                        batch_id,
+                    partial(
+                        complete, request, respond, batch_time, take, started,
+                        arrival, batch_id,
                     ),
                 )
 
@@ -1193,33 +1163,3 @@ class EtudeInferenceServer:
                 nlist=self.retrieval.nlist or 0,
                 nprobe=nprobe,
             )
-
-    def _make_responder(
-        self, request, respond, batch_time, take, started, arrival, batch_id
-    ):
-        """Responder fired once the HTTP leg is done.
-
-        The access record is written here, at delivery time, with the
-        status the client actually saw — a crash between batch completion
-        and response delivery turns the whole batch into 503s, and the
-        log must say so rather than claim a 200 nobody received.
-        """
-
-        def respond_and_log() -> None:
-            delivered = self._respond_ok(
-                request, respond, batch_time, take, queue_s=started - arrival
-            )
-            if self.access_log is not None:
-                self.access_log.append(
-                    AccessRecord(
-                        request_id=request.request_id,
-                        arrived_at=arrival,
-                        started_at=started,
-                        completed_at=self.simulator.now,
-                        batch_id=batch_id,
-                        batch_size=take,
-                        status=HTTP_OK if delivered else HTTP_SERVICE_UNAVAILABLE,
-                    )
-                )
-
-        return respond_and_log

@@ -1,10 +1,16 @@
 """The Actix server's intake, CPU worker and GPU executor before the wait
 elisions: one zero-delay wake per parked CPU worker, and every linger
-through a deadline timer, a ``Signal`` and a zero-delay hop.
+through a deadline timer, a ``Signal`` and a zero-delay hop. Each worker
+process tests ``admission`` and the tenant counts on every dequeue.
+With them, the completion they call: ``_respond_ok`` sends the 200 (or
+the 503 after a crash), the CPU worker writes its own access record,
+and the GPU executor schedules a closure from ``_make_responder`` per
+response.
 
 Kept verbatim as the reference that ``test_wait_elision_differential.py``
-checks the production server against. ``ReferenceServer`` overrides only
-these three methods; everything else is the production server's. It
+checks the production server against. ``ReferenceServer`` overrides
+only the intake, CPU worker and GPU executor, and adds the two
+completion methods; everything else is the production server's. It
 runs on ``tests/simulation/reference_simulator.py``, whose handles
 cancel themselves, as these methods expect.
 """
@@ -16,6 +22,7 @@ from repro.serving.request import (
     HTTP_OK,
     HTTP_SERVICE_UNAVAILABLE,
     RecommendationRequest,
+    RecommendationResponse,
     ResponseCallback,
 )
 from repro.simulation import Signal
@@ -210,3 +217,89 @@ class ReferenceServer(EtudeInferenceServer):
                         batch_id,
                     ),
                 )
+
+    def _respond_ok(
+        self,
+        request: RecommendationRequest,
+        respond: ResponseCallback,
+        inference_s: float,
+        batch_size: int,
+        queue_s: float = 0.0,
+    ) -> bool:
+        """Deliver a 200 — or a 503 if the server died meanwhile.
+
+        Returns whether the client actually saw the 200, so callers
+        logging the exchange record the delivered status.
+        """
+        if not self.healthy:
+            self._resolve_flight_fail(request, crashed=True)
+            self._fail(request, respond)
+            return False
+        items = None
+        scores = None
+        model = self.model
+        if self.tenants is not None:
+            serving = self._tenant_serving(request)
+            if serving is not None:
+                model = serving.model
+        if model is not None:
+            if hasattr(model, "recommend_with_scores"):
+                # Shard replica: score only this pod's catalog slice and
+                # keep the scores — the scatter-gather merge needs them.
+                items, scores = model.recommend_with_scores(
+                    request.session_items
+                )
+            else:
+                items = model.recommend(request.session_items)
+        if self.cache is not None:
+            self._resolve_flight_ok(
+                request, items if scores is None else (items, scores)
+            )
+        now = self.simulator.now
+        respond(
+            RecommendationResponse(
+                request_id=request.request_id,
+                status=HTTP_OK,
+                completed_at=now,
+                latency_s=now - request.sent_at,
+                inference_s=inference_s,
+                queue_s=queue_s,
+                batch_size=batch_size,
+                items=items,
+                scores=scores,
+            )
+        )
+        self.completed += 1
+        if self.telemetry is not None:
+            self._completed_counter.inc()
+        return True
+
+    def _make_responder(
+        self, request, respond, batch_time, take, started, arrival, batch_id
+    ):
+        """Responder fired once the HTTP leg is done.
+
+        The access record is written here, at delivery time, with the
+        status the client actually saw — a crash between batch completion
+        and response delivery turns the whole batch into 503s, and the
+        log must say so rather than claim a 200 nobody received.
+        """
+
+        def respond_and_log() -> None:
+            delivered = self._respond_ok(
+                request, respond, batch_time, take, queue_s=started - arrival
+            )
+            if self.access_log is not None:
+                self.access_log.append(
+                    AccessRecord(
+                        request_id=request.request_id,
+                        arrived_at=arrival,
+                        started_at=started,
+                        completed_at=self.simulator.now,
+                        batch_id=batch_id,
+                        batch_size=take,
+                        status=HTTP_OK if delivered else HTTP_SERVICE_UNAVAILABLE,
+                    )
+                )
+
+        return respond_and_log

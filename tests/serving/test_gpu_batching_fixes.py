@@ -1,8 +1,9 @@
-"""GPU batching-path fixes: linger wake on buffer-full, delivered-status logs."""
+"""GPU batching-path fixes: linger wake on buffer-full, and access logs
+that record the status each client saw (GPU batches and CPU workers)."""
 
 import numpy as np
 
-from repro.hardware import GPU_T4, LatencyModel
+from repro.hardware import CPU_E2, GPU_T4, LatencyModel
 from repro.serving import BatchingConfig, EtudeInferenceServer
 from repro.serving.access_log import AccessLog
 from repro.serving.profiles import ActixProfile
@@ -11,16 +12,17 @@ from repro.simulation import Simulator
 from repro.tensor.ops import CostRecord, CostTrace
 
 
-def gpu_profile(param_bytes=1e6):
+def service_profile(device):
     trace = CostTrace()
-    trace.append(CostRecord(op="linear", param_bytes=param_bytes))
-    return LatencyModel(GPU_T4.device).profile(trace)
+    trace.append(CostRecord(op="linear", param_bytes=1e6))
+    return LatencyModel(device).profile(trace)
 
 
-def make_server(sim, batching, log=None, profile=None):
+def make_server(sim, batching, log=None, profile=None, instance=GPU_T4):
     return EtudeInferenceServer(
-        sim, GPU_T4.device, gpu_profile(), np.random.default_rng(0),
-        profile=profile, batching=batching, access_log=log,
+        sim, instance.device, service_profile(instance.device),
+        np.random.default_rng(0), profile=profile, batching=batching,
+        access_log=log,
     )
 
 
@@ -93,9 +95,9 @@ class TestLingerWake:
 
 
 class TestDeliveredStatusLog:
-    def test_log_matches_what_each_client_saw(self):
-        """A crash between batch completion and response delivery turns
-        the batch into 503s; the access log must record those 503s, not
+    def assert_log_matches_what_each_client_saw(self, instance):
+        """A crash between completion and response delivery turns
+        responses into 503s; the access log must record those 503s, not
         the 200s nobody received."""
         sim = Simulator()
         log = AccessLog()
@@ -103,7 +105,7 @@ class TestDeliveredStatusLog:
         # original code mis-logged.
         server = make_server(
             sim, BatchingConfig(max_batch_size=8, max_delay_s=0.001), log,
-            profile=ActixProfile(request_overhead_s=0.050),
+            profile=ActixProfile(request_overhead_s=0.050), instance=instance,
         )
         statuses = {}
 
@@ -127,3 +129,14 @@ class TestDeliveredStatusLog:
         logged = [record.status for record in log]
         assert any(status != HTTP_OK for status in logged)
         assert any(status == HTTP_OK for status in logged)
+        return logged
+
+    def test_log_matches_what_each_client_saw(self):
+        self.assert_log_matches_what_each_client_saw(GPU_T4)
+
+    def test_cpu_worker_logs_what_each_client_saw(self):
+        """A CPU worker logs at delivery too: the crash at 60 ms catches
+        five of the eight exchanges its workers ran in flight."""
+        logged = self.assert_log_matches_what_each_client_saw(CPU_E2)
+        assert len(logged) == 8
+        assert sum(status != HTTP_OK for status in logged) == 5

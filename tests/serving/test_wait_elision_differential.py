@@ -1,11 +1,16 @@
-"""The Actix server's wait elisions against the server before them.
+"""The Actix server's wait elisions and single completion against the
+server before them.
 
 ``reference_actix.py`` keeps the parent's intake, CPU worker and GPU
 executor, run on the reference event core: one zero-delay wake per
 parked CPU worker, and every linger through a deadline timer, a
-``Signal`` and a hop. The production server resumes parked CPU workers
-from one event, only while work is queued, and resumes a linger at its
-deadline directly when no event is due before it.
+``Signal`` and a hop. It also keeps their completion: ``_respond_ok``,
+an access record the CPU worker writes itself, a ``_make_responder``
+closure per GPU response, and an ``admission`` and tenant-count test on
+every dequeue. The production server resumes parked CPU workers from
+one event, only while work is queued, resumes a linger at its deadline
+directly when no event is due before it, completes every executed
+request through one method, and picks each process's dequeue once.
 
 Hypothesis draws programs on a grid of 2**-10 s (about 1 ms), so every
 sum of grid times is an exact float and ties are common: simultaneous
@@ -15,7 +20,7 @@ clients that answer a response with a new request inside the same
 event. The jitter is a fixed cycle of multipliers. After every
 ``run(until=...)`` step both servers must show the same responses (id,
 status and the ``repr`` of every time), the same counters and the same
-``pending_events``.
+``pending_events``; once drained, the same access log.
 """
 
 import itertools
@@ -27,6 +32,7 @@ from hypothesis import strategies as st
 from repro.hardware.instances import CPU_E2_DEVICE, GPU_T4_DEVICE
 from repro.hardware.latency_model import ServiceTimeProfile
 from repro.serving import BatchingConfig, EtudeInferenceServer
+from repro.serving.access_log import AccessLog
 from repro.serving.admission import AdmissionPolicy
 from repro.serving.profiles import ActixProfile
 from repro.serving.request import RecommendationRequest
@@ -94,6 +100,7 @@ def execute(side, device, program):
             max_delay_s=program["max_delay"] * GRID,
         ),
         worker_threads=program["workers"],
+        access_log=AccessLog(),
     )
     multipliers = itertools.cycle(program["jitter"])
     server._jitter = lambda sigma: next(multipliers)
@@ -160,6 +167,7 @@ def execute(side, device, program):
         log.append(state())
     log.append(("drained", sim.run()))
     log.append(state())
+    log.append(("access", [repr(record) for record in server.access_log]))
     return log
 
 
