@@ -431,16 +431,13 @@ class ExperimentRunner:
         state: dict,
         telemetry: Optional["Telemetry"] = None,
     ) -> RunResult:
-        generator = state.get("generator")
-        service = state.get("service")
-        deployment = state.get("deployment")
+        generator = state["generator"]
+        service = state["service"]
         # Every server each pod ran: a restarted pod starts fresh
         # counters, and what its crashed server tallied still counts.
-        servers = (
-            [server for pod in deployment.pods for server in pod.servers]
-            if deployment is not None
-            else []
-        )
+        servers = [
+            server for pod in state["deployment"].pods for server in pod.servers
+        ]
         series = LatencySeries.from_collector(collector)
         execution = assets.execution_effective
         if assets.jit_fell_back:
@@ -467,7 +464,7 @@ class ExperimentRunner:
                 else None
             ),
             series=series if spec.collect_series else None,
-            backpressure_stalls=generator.backpressure_stalls if generator else 0,
+            backpressure_stalls=generator.backpressure_stalls,
         )
         if spec.retry is not None or spec.chaos is not None:
             chaos = state.get("chaos")
@@ -475,14 +472,10 @@ class ExperimentRunner:
                 "retry_policy": (
                     spec.retry.spec_string() if spec.retry is not None else None
                 ),
-                "retries": generator.retries if generator else 0,
-                "hedges": generator.hedges if generator else 0,
-                "retry_successes": (
-                    generator.retry_successes if generator else 0
-                ),
-                "retry_exhausted": (
-                    generator.retry_exhausted if generator else 0
-                ),
+                "retries": generator.retries,
+                "hedges": generator.hedges,
+                "retry_successes": generator.retry_successes,
+                "retry_exhausted": generator.retry_exhausted,
                 "chaos_schedule": (
                     spec.chaos.spec_string() if spec.chaos is not None else None
                 ),
@@ -517,10 +510,8 @@ class ExperimentRunner:
                 "shed_queue_full": sum(s.shed_queue_full for s in servers),
                 "degraded_served": sum(s.degraded_served for s in servers),
                 "degraded_fraction": collector.degraded_fraction,
-                "ejections": service.ejections if service is not None else 0,
-                "probe_recoveries": (
-                    service.probe_recoveries if service is not None else 0
-                ),
+                "ejections": service.ejections,
+                "probe_recoveries": service.probe_recoveries,
                 "p90_full_ms": collector.percentile_full_ms(90),
                 "p90_degraded_ms": collector.percentile_degraded_ms(90),
             }
@@ -552,20 +543,13 @@ class ExperimentRunner:
                 "p90_miss_ms": collector.percentile_miss_ms(90),
             }
         if spec.sharding is not None:
-            aggregator = service.aggregator if service is not None else None
             result.sharding = {
                 "config": spec.sharding.spec_string(),
                 "replicas_per_shard": spec.hardware.replicas,
-                **(
-                    aggregator.stats()
-                    if aggregator is not None
-                    else {"shards": spec.sharding.shards}
-                ),
+                **service.aggregator.stats(),
             }
         if spec.scheduler is not None:
-            runtime = state.get("scheduler")
-            if runtime is not None:
-                result.scheduler = runtime.summary()
+            result.scheduler = state["scheduler"].summary()
         if spec.retrieval is not None:
             info = dict(state.get("retrieval") or {})
             info["ann_queries"] = sum(s.ann_queries for s in servers)
@@ -574,20 +558,16 @@ class ExperimentRunner:
         if spec.zones > 1:
             result.availability = self._availability_section(spec, state)
         if spec.tenants is not None:
-            splitter = state.get("splitter")
-            if splitter is not None:
-                shed_by_tenant: dict = {}
-                for server in servers:
-                    if server.tenants is None:
-                        continue
-                    for name, count in server.shed_by_tenant.items():
-                        shed_by_tenant[name] = shed_by_tenant.get(name, 0) + count
-                rollouts = [r.summary() for r in state.get("rollouts", [])]
-                result.tenancy = splitter.summary(
-                    duration_s=spec.duration_s,
-                    shed_by_tenant=shed_by_tenant,
-                    rollouts=rollouts or None,
-                )
+            shed_by_tenant: dict = {}
+            for server in servers:
+                for name, count in server.shed_by_tenant.items():
+                    shed_by_tenant[name] = shed_by_tenant.get(name, 0) + count
+            rollouts = [r.summary() for r in state["rollouts"]]
+            result.tenancy = state["splitter"].summary(
+                duration_s=spec.duration_s,
+                shed_by_tenant=shed_by_tenant,
+                rollouts=rollouts or None,
+            )
         if telemetry is not None:
             from repro.obs.export import stage_breakdown
 
@@ -606,15 +586,13 @@ class ExperimentRunner:
         flipped back. ``None`` (infinite) when any victim was still dark
         at run end — e.g. ``restart=none`` chaos.
         """
-        deployment = state.get("deployment")
-        service = state.get("service")
+        service = state["service"]
         chaos = state.get("chaos")
         pods_per_zone: dict = {}
         by_name = {}
-        if deployment is not None:
-            for pod in deployment.pods:
-                pods_per_zone[pod.zone] = pods_per_zone.get(pod.zone, 0) + 1
-                by_name[pod.name] = pod
+        for pod in state["deployment"].pods:
+            pods_per_zone[pod.zone] = pods_per_zone.get(pod.zone, 0) + 1
+            by_name[pod.name] = pod
         outages = []
         overall_ttr: Optional[float] = None
         for event in chaos.zone_outages if chaos is not None else []:
@@ -644,13 +622,11 @@ class ExperimentRunner:
         return {
             "zones": spec.zones,
             "pods_per_zone": pods_per_zone,
-            "home_zone": service.home_zone if service is not None else "",
-            "cross_zone_legs": (
-                service.cross_zone_legs if service is not None else 0
-            ),
+            "home_zone": service.home_zone,
+            "cross_zone_legs": service.cross_zone_legs,
             "zone_outages": outages,
             "time_to_recovery_s": overall_ttr,
-            "load_started_at_s": state.get("started_at"),
+            "load_started_at_s": state["started_at"],
         }
 
     def _persist_result(self, spec: ExperimentSpec, result: RunResult) -> None:
