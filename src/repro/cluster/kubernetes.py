@@ -170,14 +170,6 @@ class ModelDeployment:
         return [pod for pod in self.pods if pod.zone == zone]
 
     @property
-    def heterogeneous(self) -> bool:
-        """True when the fleet mixes accelerator and CPU pods."""
-        classes = {
-            pod.instance_type.device.is_accelerator for pod in self.pods
-        }
-        return len(classes) > 1
-
-    @property
     def ready_pods(self) -> List[Pod]:
         return [pod for pod in self.pods if pod.ready]
 

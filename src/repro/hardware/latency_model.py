@@ -14,8 +14,8 @@ top-k), host-op PCIe round trips and framework glue.
 
 For CPUs there is no batching; ``t(1)`` is the single-inference latency, and
 the device's ``shared_bandwidth`` limits how many concurrent workers can
-stream the catalog at once (modelled by the serving layer via
-:meth:`ServiceTimeProfile.aggregate_bytes`).
+stream the catalog at once (modelled by the serving layer from
+``ServiceTimeProfile.bytes_per_item``).
 """
 
 from __future__ import annotations
@@ -122,11 +122,6 @@ class ServiceTimeProfile:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         return self.fixed_s + batch_size * self.per_item_s
-
-    def aggregate_bytes(self) -> float:
-        """Memory traffic of one single-request inference (for shared-
-        bandwidth contention among concurrent CPU workers)."""
-        return self.bytes_per_item
 
     def max_stable_throughput(self, max_batch: int = 1024) -> float:
         """Upper bound on sustainable requests/second for one replica.

@@ -41,7 +41,6 @@ _EPILOGUE_OPS = {
     "neg",
     "dropout",
     "masked_fill",
-    "where",
     "softmax",
     "layer_norm",
 }

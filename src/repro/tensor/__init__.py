@@ -21,19 +21,15 @@ actual top-k recommendations.
 """
 
 from repro.tensor.tensor import Tensor, as_tensor
-from repro.tensor.ops import CostRecord, CostTrace, cost_trace, current_trace
+from repro.tensor.ops import CostRecord, CostTrace, cost_trace
 from repro.tensor.module import Module, Parameter
 from repro.tensor.layers import (
     CatalogEmbedding,
     Dropout,
     Embedding,
-    GELU,
     LayerNorm,
     Linear,
-    ReLU,
     Sequential,
-    Sigmoid,
-    Softmax,
     Tanh,
 )
 from repro.tensor.rnn import GRU, GRUCell
@@ -58,7 +54,6 @@ __all__ = [
     "CostRecord",
     "CostTrace",
     "cost_trace",
-    "current_trace",
     "Module",
     "Parameter",
     "Linear",
@@ -67,11 +62,7 @@ __all__ = [
     "LayerNorm",
     "Dropout",
     "Sequential",
-    "ReLU",
-    "GELU",
     "Tanh",
-    "Sigmoid",
-    "Softmax",
     "GRU",
     "GRUCell",
     "MultiHeadAttention",

@@ -67,10 +67,6 @@ def masked_fill(x: Tensor, mask: Union[Tensor, np.ndarray], value: float) -> Ten
     return ops.run_op("masked_fill", (x, as_tensor(mask)), {"value": float(value)})
 
 
-def where(cond, a, b) -> Tensor:
-    return ops.run_op("where", (as_tensor(cond), as_tensor(a), as_tensor(b)))
-
-
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return ops.run_op("reduce_sum", (x,), {"axis": axis, "keepdims": keepdims})
 
@@ -87,26 +83,10 @@ def index_select(x: Tensor, ids, axis: int = 0) -> Tensor:
     return ops.run_op("index_select", (x, as_tensor(ids)), {"axis": axis})
 
 
-def scatter_add_rows(x: Tensor, ids, num_rows: int) -> Tensor:
-    """out[ids[i]] += x[i], producing ``num_rows`` rows."""
-    return ops.run_op(
-        "scatter_add_rows", (x, as_tensor(ids)), {"num_rows": int(num_rows)}
-    )
-
-
-def pad_rows(x: Tensor, target: int) -> Tensor:
-    """Zero-pad the leading axis of ``x`` up to ``target`` rows."""
-    return ops.run_op("pad_rows", (x,), {"target": int(target)})
-
-
 def fill_constant(shape, value: float) -> Tensor:
     return ops.run_op(
         "fill_constant", (), {"shape": tuple(shape), "value": float(value)}
     )
-
-
-def outer(a: Tensor, b: Tensor) -> Tensor:
-    return ops.run_op("outer", (a, b))
 
 
 def sequence_mask(length: Tensor, max_len: int) -> Tensor:

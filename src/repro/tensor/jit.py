@@ -95,7 +95,6 @@ _ELEMENTWISE_FUSABLE = {
     "minimum",
     "pow",
     "masked_fill",
-    "where",
 }
 
 _ACTIVATIONS = {"relu": "relu", "tanh": "tanh", "sigmoid": "sigmoid"}

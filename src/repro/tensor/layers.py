@@ -185,33 +185,9 @@ class Dropout(Module):
         return ops.run_op("dropout", (x,))
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.run_op("relu", (x,))
-
-
-class GELU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.run_op("gelu", (x,))
-
-
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.run_op("tanh", (x,))
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.run_op("sigmoid", (x,))
-
-
-class Softmax(Module):
-    def __init__(self, axis: int = -1):
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.run_op("softmax", (x,), {"axis": self.axis})
 
 
 class Sequential(Module):

@@ -111,18 +111,6 @@ class CostTrace:
     def host_op_count(self) -> int:
         return sum(1 for r in self.records if r.host_op)
 
-    def summary(self) -> Dict[str, float]:
-        """Aggregate totals, useful for debugging and reports."""
-        return {
-            "ops": float(len(self.records)),
-            "launches": float(self.total_launches),
-            "flops": self.total_flops,
-            "param_bytes": self.total_param_bytes,
-            "activation_bytes": self.total_activation_bytes,
-            "transfer_bytes": self.total_transfer_bytes,
-            "host_ops": float(self.host_op_count),
-        }
-
 
 _TRACE_STACK: List[CostTrace] = []
 
@@ -136,11 +124,6 @@ def cost_trace() -> Iterator[CostTrace]:
         yield trace
     finally:
         _TRACE_STACK.remove(trace)
-
-
-def current_trace() -> Optional[CostTrace]:
-    """The innermost active cost trace, or ``None``."""
-    return _TRACE_STACK[-1] if _TRACE_STACK else None
 
 
 def record_cost(record: CostRecord) -> None:
@@ -429,12 +412,6 @@ def _linear_act_kernel(arrays, attrs):
     return out, _out_record("linear_act", out, flops)
 
 
-@kernel("outer")
-def _outer_kernel(arrays, attrs):
-    out = np.outer(arrays[0], arrays[1]).astype(np.float32)
-    return out, _out_record("outer", out, _size(out))
-
-
 # ---------------------------------------------------------------------------
 # Shape kernels (views are free in eager PyTorch; copies are not)
 # ---------------------------------------------------------------------------
@@ -469,15 +446,6 @@ def _slice_kernel(arrays, attrs):
     out = arrays[0][attrs["key"]]
     out = np.ascontiguousarray(out)
     return out, _out_record("slice", out, 0.0)
-
-
-@kernel("pad_rows")
-def _pad_rows_kernel(arrays, attrs):
-    x = arrays[0]
-    target = attrs["target"]
-    pad = target - x.shape[0]
-    out = np.pad(x, [(0, pad)] + [(0, 0)] * (x.ndim - 1)).astype(np.float32)
-    return out, _out_record("pad_rows", out, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +511,6 @@ def _masked_fill_kernel(arrays, attrs):
     return out, _out_record("masked_fill", out, _size(out), elementwise=True)
 
 
-@kernel("where")
-def _where_kernel(arrays, attrs):
-    cond, a, b = arrays
-    out = np.where(cond.astype(bool), a, b).astype(np.float32)
-    return out, _out_record("where", out, _size(out), elementwise=True)
-
-
 # ---------------------------------------------------------------------------
 # Embedding / gather / top-k kernels
 # ---------------------------------------------------------------------------
@@ -571,16 +532,6 @@ def _index_select_kernel(arrays, attrs):
     idx = np.asarray(ids, dtype=np.int64)
     out = np.take(x, idx, axis=attrs.get("axis", 0)).astype(np.float32)
     return out, _out_record("index_select", out, 0.0)
-
-
-@kernel("scatter_add_rows")
-def _scatter_add_rows_kernel(arrays, attrs):
-    """out[ids[i]] += x[i] over rows — used by graph aggregation."""
-    x, ids = arrays
-    num_rows = attrs["num_rows"]
-    out = np.zeros((num_rows,) + x.shape[1:], dtype=np.float32)
-    np.add.at(out, np.asarray(ids, dtype=np.int64), x)
-    return out, _out_record("scatter_add_rows", out, _size(x))
 
 
 @kernel("topk")

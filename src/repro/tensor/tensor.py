@@ -134,9 +134,6 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         return ops.run_op("add", (self, other))
 
-    def __radd__(self, other) -> "Tensor":
-        return ops.run_op("add", (other, self))
-
     def __sub__(self, other) -> "Tensor":
         return ops.run_op("sub", (self, other))
 
@@ -146,20 +143,11 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         return ops.run_op("mul", (self, other))
 
-    def __rmul__(self, other) -> "Tensor":
-        return ops.run_op("mul", (other, self))
-
     def __truediv__(self, other) -> "Tensor":
         return ops.run_op("div", (self, other))
 
-    def __rtruediv__(self, other) -> "Tensor":
-        return ops.run_op("div", (other, self))
-
     def __neg__(self) -> "Tensor":
         return ops.run_op("neg", (self,))
-
-    def __pow__(self, exponent) -> "Tensor":
-        return ops.run_op("pow", (self, exponent))
 
     def __matmul__(self, other) -> "Tensor":
         return ops.run_op("matmul", (self, other))
