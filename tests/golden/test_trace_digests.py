@@ -22,9 +22,10 @@ Four groups of runs, each a few virtual seconds past provisioning:
   hashes the same as the untraced one, and so does each result when the
   ``mp:workers=2`` execution backend runs the spec.
 - ``RESPONSES`` pins every response the load generator records, in
-  record order, for the saturated CPU run, the ``t4`` and ``cpu``
-  scenarios and a two-pod run whose client retries a crashed pod's
-  errors and hedges slow requests: the sha256 over each response's
+  record order, for the saturated CPU run, the ``t4``, ``cpu`` and
+  ``t4-sharded-cached`` scenarios, a two-pod run whose client retries a
+  crashed pod's errors and hedges slow requests, and a sharded CPU run
+  (S=4, two CPU replicas per shard): the sha256 over each response's
   request id, status and the ``repr`` of its latency, inference time and
   batch size, captured by wrapping ``MetricsCollector.record`` during an
   untraced run.
@@ -151,6 +152,13 @@ RESPONSES: Dict[str, ExperimentSpec] = {
         "gru4rec", 20_000, 300, HardwareSpec("GPU-T4", 2),
         duration_s=4.0, seed=3, retry="max=2,base=0.02,hedge=0.0035",
         chaos="crash@1:pod=0:restart=2", routing="rr,lag=0.5",
+    ),
+    "t4-sharded-cached-responses": SCENARIOS["t4-sharded-cached"],
+    # A CPU x S candidate of the planner's sweep: two CPU replicas per
+    # shard, and all 451 fan-outs merge four full, latency-only legs.
+    "cpu-sharded-responses": ExperimentSpec(
+        "gru4rec", 20_000, 300, HardwareSpec("CPU", 2),
+        duration_s=4.0, seed=3, sharding=4,
     ),
 }
 
