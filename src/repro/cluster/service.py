@@ -18,7 +18,9 @@ half-open probe re-entry (the circuit breaker).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+import weakref
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -44,6 +46,36 @@ if TYPE_CHECKING:
 #: negative range so they can never collide with request ids (>= 0) or the
 #: chaos controller's ids (-1, -2, ...).
 _SERVICE_SPAN_ID_START = -100_000
+
+#: One-way network latency between load generator and serving pod, and
+#: the sigma of its lognormal jitter.
+NETWORK_LATENCY_S = 2.5e-4
+NETWORK_JITTER_SIGMA = 0.3
+
+
+class _Network:
+    """The cost of one network leg: the base latency times a lognormal
+    draw, plus the surcharge chaos schedules inject.
+
+    The service and its aggregator share it. The aggregator draws its
+    legs from :meth:`delay` and holds nothing of the service, which owns
+    the aggregator: a reference back would be a cycle.
+    """
+
+    __slots__ = ("jitter", "extra_latency_s")
+
+    def __init__(self, jitter: Callable[[float], float]):
+        self.jitter = jitter
+        #: Additional one-way latency injected by chaos schedules
+        #: (transient degradation of the client→server leg). 0.0 = nominal
+        #: and bit-exact: adding 0.0 never changes a latency.
+        self.extra_latency_s = 0.0
+
+    def delay(self) -> float:
+        return (
+            NETWORK_LATENCY_S * self.jitter(NETWORK_JITTER_SIGMA)
+            + self.extra_latency_s
+        )
 
 
 class _PodRoutingState:
@@ -71,9 +103,6 @@ class _PodRoutingState:
 class ClusterIPService:
     """Load balancing over the ready pods of a deployment."""
 
-    #: One-way network latency between load generator and serving pod.
-    NETWORK_LATENCY_S = 2.5e-4
-    NETWORK_JITTER_SIGMA = 0.3
     #: Deterministic per-direction surcharge on a leg that crosses a
     #: failure domain (the service VIP lives in the home zone, ``z0``).
     #: Only charged on deployments placed with ``zones > 1``.
@@ -93,7 +122,9 @@ class ClusterIPService:
         self.simulator = simulator
         self.deployment = deployment
         #: Every network-leg draw; the jitter owns ``rng``.
-        self._jitter = LognormalJitter(rng).draw
+        self._network = _Network(LognormalJitter(rng).draw)
+        #: One client leg (a test may pin it to a constant).
+        self._network_delay = self._network.delay
         self._round_robin = 0
         #: Heterogeneous scheduler front (None = the paper's single-class
         #: routing, bit-identical to the pre-scheduler service). When set,
@@ -110,10 +141,6 @@ class ClusterIPService:
         self.probe_recoveries = 0
         self._pod_states: Dict[str, _PodRoutingState] = {}
         self._next_span_id = _SERVICE_SPAN_ID_START
-        #: Additional one-way latency injected by chaos schedules
-        #: (transient degradation of the client→server leg). 0.0 = nominal
-        #: and bit-exact: adding 0.0 never changes a latency.
-        self.extra_latency_s = 0.0
         #: Zone topology of the backing deployment. The service VIP (and
         #: the load generator behind it) lives in the first zone; legs to
         #: pods elsewhere pay the cross-zone surcharge. 1 = no topology,
@@ -156,12 +183,6 @@ class ClusterIPService:
         # Scatter-gather front for sharded deployments. None on S=1: the
         # request path below is then byte-for-byte the pre-sharding one.
         self.aggregator: Optional[ScatterGatherAggregator] = None
-        self._shard_cursors: Dict[int, int] = {}
-        #: Every pod of each shard, ready or not, in deployment order.
-        #: ``deployment.pods`` only grows and a pod's shard is fixed, so
-        #: the groups are rebuilt only when a pod has been added.
-        self._shard_pods: Dict[int, List[Pod]] = {}
-        self._shard_pods_seen = 0
         if getattr(deployment, "shards", 1) > 1:
             shards = deployment.shards
             if catalog_size is not None and catalog_size > 0:
@@ -175,19 +196,23 @@ class ClusterIPService:
                 simulator=simulator,
                 config=deployment.sharding,
                 shard_submits=[
-                    self._shard_submit(shard) for shard in range(shards)
+                    _ShardRoute(self, shard).submit for shard in range(shards)
                 ],
-                network_delay=self._network_delay,
+                network_delay=self._network.delay,
                 top_k=top_k,
                 coverage_fractions=fractions,
                 telemetry=telemetry,
             )
 
-    def _network_delay(self) -> float:
-        return (
-            self.NETWORK_LATENCY_S * self._jitter(self.NETWORK_JITTER_SIGMA)
-            + self.extra_latency_s
-        )
+    @property
+    def extra_latency_s(self) -> float:
+        """Additional one-way latency injected by chaos schedules, on
+        every leg of the service and its aggregator."""
+        return self._network.extra_latency_s
+
+    @extra_latency_s.setter
+    def extra_latency_s(self, value: float) -> None:
+        self._network.extra_latency_s = value
 
     def _cross_zone_extra(self, pod: Pod) -> float:
         """Per-direction surcharge for a leg leaving the home zone.
@@ -209,12 +234,13 @@ class ClusterIPService:
         """One network leg to/from a specific pod, zone charged honestly.
 
         Every routed request pays two of these, so the single-zone leg is
-        one call: :meth:`_network_delay` and :meth:`_cross_zone_extra`
+        one call: :meth:`_Network.delay` and :meth:`_cross_zone_extra`
         inlined, with their arithmetic unchanged.
         """
+        network = self._network
         delay = (
-            self.NETWORK_LATENCY_S * self._jitter(self.NETWORK_JITTER_SIGMA)
-            + self.extra_latency_s
+            NETWORK_LATENCY_S * network.jitter(NETWORK_JITTER_SIGMA)
+            + network.extra_latency_s
         )
         if self._zones > 1 and pod.zone != self.home_zone:
             self._note_cross_zone()
@@ -349,80 +375,6 @@ class ClusterIPService:
 
     # -- sharded request path ------------------------------------------------
 
-    def _shard_submit(self, shard_index: int):
-        """Submit target for one shard leg: route within the shard's pods.
-
-        Every routing discipline (round-robin cursor, LOR, ejection,
-        endpoint lag) applies *within* the shard group — a request must
-        reach each shard exactly once, so there is nothing to balance
-        across shards. A shard with no pod in view answers an immediate
-        503 for its leg (connection refused; the aggregator has already
-        charged the network legs). Readiness is read per leg, so a pod
-        that drops out between two legs of one fan-out misses the later
-        one.
-        """
-
-        def submit(
-            sub_request: RecommendationRequest, respond: ResponseCallback
-        ) -> None:
-            if self.routing is None:
-                if len(self.deployment.pods) != self._shard_pods_seen:
-                    self._shard_pods = partition_by_shard(self.deployment.pods)
-                    self._shard_pods_seen = len(self.deployment.pods)
-                pods = [
-                    pod
-                    for pod in self._shard_pods.get(shard_index, ())
-                    if pod.ready
-                ]
-            else:
-                pods = partition_by_shard(self._routing_view()).get(
-                    shard_index, []
-                )
-            if not pods:
-                respond(
-                    RecommendationResponse(
-                        request_id=sub_request.request_id,
-                        status=HTTP_SERVICE_UNAVAILABLE,
-                        completed_at=self.simulator.now,
-                        latency_s=self.simulator.now - sub_request.sent_at,
-                        coverage=0.0,
-                    )
-                )
-                return
-            if self.routing is None:
-                cursor = self._shard_cursors.get(shard_index, 0)
-                pod = pods[cursor % len(pods)]
-                self._shard_cursors[shard_index] = cursor + 1
-            else:
-                pod = self._select_pod(pods)
-
-            # The aggregator charges the zone-neutral fan-out legs; a
-            # replica outside the home zone costs the surcharge extra in
-            # each direction (surviving replicas absorbing a dead zone's
-            # traffic pay for the distance, honestly).
-            extra = self._cross_zone_extra(pod)
-
-            def observe_and_respond(response: RecommendationResponse) -> None:
-                if self.routing is not None:
-                    self._observe(pod, response)
-                if extra > 0.0:
-                    self.simulator.call_in(extra, lambda: respond(response))
-                else:
-                    respond(response)
-
-            if extra > 0.0:
-                self._note_cross_zone(2)
-                self.simulator.call_in(
-                    extra,
-                    lambda: pod.server.submit(
-                        sub_request, observe_and_respond
-                    ),
-                )
-            else:
-                pod.server.submit(sub_request, observe_and_respond)
-
-        return submit
-
     def _submit_sharded(
         self, request: RecommendationRequest, respond: ResponseCallback
     ) -> None:
@@ -431,7 +383,7 @@ class ClusterIPService:
         Legs: client -> aggregator (charged here), aggregator <-> each
         shard pod in parallel plus the merge cost (charged by the
         aggregator — the response waits for the slowest shard), and
-        aggregator -> client (charged on delivery below).
+        aggregator -> client (charged on delivery, by :meth:`_deliver`).
         """
         if not self.deployment.ready_signal.fired:
             raise RuntimeError(
@@ -440,20 +392,37 @@ class ClusterIPService:
         self.routed += 1
         if self.telemetry is not None:
             self._routed_counter.inc()
-
-        def deliver(response: RecommendationResponse) -> None:
-            def arrive() -> None:
-                now = self.simulator.now
-                response.completed_at = now
-                response.latency_s = now - request.sent_at
-                respond(response)
-
-            self.simulator.call_in(self._network_delay(), arrive)
-
         self.simulator.call_in(
             self._network_delay(),
-            lambda: self.aggregator.scatter(request, deliver),
+            partial(
+                self.aggregator.scatter,
+                request,
+                partial(self._deliver, request, respond),
+            ),
         )
+
+    def _deliver(
+        self,
+        request: RecommendationRequest,
+        respond: ResponseCallback,
+        response: RecommendationResponse,
+    ) -> None:
+        """The merged response leaves the aggregator for the client."""
+        self.simulator.call_in(
+            self._network_delay(),
+            partial(self._arrive, request, respond, response),
+        )
+
+    def _arrive(
+        self,
+        request: RecommendationRequest,
+        respond: ResponseCallback,
+        response: RecommendationResponse,
+    ) -> None:
+        now = self.simulator.now
+        response.completed_at = now
+        response.latency_s = now - request.sent_at
+        respond(response)
 
     # -- request path -------------------------------------------------------
 
@@ -545,3 +514,112 @@ class ClusterIPService:
             self._pod_network_delay(pod),
             lambda: pod.server.submit(request, respond_via_network),
         )
+
+
+class _ShardRoute:
+    """Where one shard's legs go: the aggregator's submit target for it.
+
+    Every routing discipline (round-robin cursor, LOR, ejection, endpoint
+    lag) applies *within* the shard group — a request must reach each
+    shard exactly once, so there is nothing to balance across shards. A
+    shard with no pod in view answers an immediate 503 for its leg
+    (connection refused; the aggregator has already charged the network
+    legs). Readiness is read per leg, so a pod that drops out between two
+    legs of one fan-out misses the later one.
+
+    The route is picked once, at construction. A plain route (no routing
+    policy, one zone) hands the aggregator's responder straight to the
+    pod. Any other observes the response for the routing policy or
+    charges the zone surcharge, through the service's methods. The
+    service owns the aggregator that holds this route, so the route holds
+    the service by a weak reference.
+    """
+
+    __slots__ = (
+        "service",
+        "simulator",
+        "deployment",
+        "shard",
+        "routing",
+        "plain",
+        "pods",
+        "seen",
+        "cursor",
+    )
+
+    def __init__(self, service: ClusterIPService, shard: int):
+        self.service = weakref.proxy(service)
+        self.simulator = service.simulator
+        self.deployment = service.deployment
+        self.shard = shard
+        self.routing = service.routing
+        self.plain = service.routing is None and service._zones <= 1
+        #: Every pod of this shard, ready or not, in deployment order.
+        #: ``deployment.pods`` only grows and a pod's shard is fixed, so
+        #: the group is rebuilt only when a pod has been added.
+        self.pods: List[Pod] = []
+        self.seen = 0
+        self.cursor = 0
+
+    def submit(
+        self, sub_request: RecommendationRequest, respond: ResponseCallback
+    ) -> None:
+        routing = self.routing
+        if routing is None:
+            deployment_pods = self.deployment.pods
+            if len(deployment_pods) != self.seen:
+                self.pods = [
+                    pod for pod in deployment_pods if pod.shard == self.shard
+                ]
+                self.seen = len(deployment_pods)
+            pods = [pod for pod in self.pods if pod.ready]
+        else:
+            pods = partition_by_shard(self.service._routing_view()).get(
+                self.shard, []
+            )
+        if not pods:
+            now = self.simulator.now
+            respond(
+                RecommendationResponse(
+                    request_id=sub_request.request_id,
+                    status=HTTP_SERVICE_UNAVAILABLE,
+                    completed_at=now,
+                    latency_s=now - sub_request.sent_at,
+                    coverage=0.0,
+                )
+            )
+            return
+        if routing is None:
+            cursor = self.cursor
+            pod = pods[cursor % len(pods)]
+            self.cursor = cursor + 1
+        else:
+            pod = self.service._select_pod(pods)
+        if self.plain:
+            pod.server.submit(sub_request, respond)
+            return
+
+        # The aggregator charges the zone-neutral fan-out legs; a
+        # replica outside the home zone costs the surcharge extra in
+        # each direction (surviving replicas absorbing a dead zone's
+        # traffic pay for the distance, honestly).
+        service = self.service
+        simulator = self.simulator
+        extra = service._cross_zone_extra(pod)
+
+        def observe_and_respond(response: RecommendationResponse) -> None:
+            if routing is not None:
+                service._observe(pod, response)
+            if extra > 0.0:
+                simulator.call_in(extra, lambda: respond(response))
+            else:
+                respond(response)
+
+        if extra > 0.0:
+            service._note_cross_zone(2)
+            simulator.call_in(
+                extra,
+                lambda: pod.server.submit(sub_request, observe_and_respond),
+            )
+        else:
+            pod.server.submit(sub_request, observe_and_respond)

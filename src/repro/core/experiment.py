@@ -103,9 +103,7 @@ class ExperimentRunner:
         result and the caller's ``telemetry`` reach them. The simulator
         is closed when it stops, so no suspended process keeps them
         either: an untraced run is freed by reference counting when this
-        returns, without a pass of the cyclic collector. (A sharded
-        run's service and aggregator refer to each other; its servers
-        wait for the collector, its item pool does not.)
+        returns, without a pass of the cyclic collector.
         """
         instance = instance_by_name(spec.hardware.instance_type)
         # ANN retrieval swaps the scoring head behind the same assets

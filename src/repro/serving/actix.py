@@ -294,7 +294,8 @@ class EtudeInferenceServer:
         #: callable that resumes the worker in place.
         self._parked: List[Callable[[], None]] = []
         if device.supports_batching():
-            simulator.spawn(self._gpu_executor())
+            #: Steps the GPU executor in place (see ``_linger_expired``).
+            self._executor = simulator.spawn(self._gpu_executor())
         else:
             self._workers = [
                 simulator.spawn(self._cpu_worker(index))
@@ -1058,7 +1059,9 @@ class EtudeInferenceServer:
                     yield At(deadline)
                 else:
                     wake = Signal(self._linger_name)
-                    deadline_timer = simulator.call_at(deadline, wake.fire)
+                    deadline_timer = simulator.call_at(
+                        deadline, self._linger_expired
+                    )
                     self._linger_wake = wake
                     yield wake
                     self._linger_wake = None
@@ -1116,6 +1119,25 @@ class EtudeInferenceServer:
                         arrival, batch_id,
                     ),
                 )
+
+    def _linger_expired(self) -> None:
+        """The linger deadline timer: wake the GPU executor.
+
+        Nothing to do if intake filled the buffer first: the wake has
+        fired and its hop is due. If no other event is due at this
+        instant, the zero-delay hop ``fire`` would schedule is the very
+        next event, so the executor is stepped in place instead. Otherwise
+        the hop queues behind the events already due now, as before.
+        """
+        wake = self._linger_wake
+        if wake.fired:
+            return
+        simulator = self.simulator
+        if simulator.next_event_time() > simulator.now:
+            wake.claim()
+            self._executor()
+        else:
+            wake.fire()
 
     def _trace_batch(self, batch, started, batch_time, take, linger_started):
         """Record queued / batch_assembled / inference spans for one flush.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -13,7 +13,7 @@ HTTP_SERVICE_UNAVAILABLE = 503
 HTTP_GATEWAY_TIMEOUT = 504
 
 
-@dataclass
+@dataclass(slots=True)
 class RecommendationRequest:
     """One next-item recommendation request for an ongoing session.
 
@@ -41,7 +41,7 @@ class RecommendationRequest:
         return int(self.session_items.shape[0])
 
 
-@dataclass
+@dataclass(slots=True)
 class RecommendationResponse:
     """The server's answer, with the metrics ETUDE extracts.
 

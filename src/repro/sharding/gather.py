@@ -13,10 +13,17 @@ coverage; as long as one full leg lands the merged response is still a
 200 with ``coverage < 1`` and ``degraded=True`` (an operator-visible
 quality downgrade, not an availability hit). ``allow_partial=False``
 turns any coverage loss into a 503 instead.
+
+Each hop of a leg is one scheduled ``functools.partial``: the outbound
+leg calls the shard's submit target with a partial of
+:meth:`ScatterGatherAggregator._leg_respond` as its responder, and the
+return leg lands through a partial of ``_land``. A fan-out whose every
+leg is a full, latency-only 200 settles without the general merge.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,6 +55,7 @@ class _Fanout:
         "request",
         "respond",
         "legs",
+        "degraded",
         "pending",
         "fanout_span",
     )
@@ -55,7 +63,11 @@ class _Fanout:
     def __init__(self, request, respond, shards):
         self.request = request
         self.respond = respond
-        self.legs: Dict[int, RecommendationResponse] = {}
+        #: Each shard's answer by shard index; None until it lands.
+        self.legs: List[Optional[RecommendationResponse]] = [None] * shards
+        #: The legs that answered degraded, in the order they landed: a
+        #: merge with no full leg passes the first one's items through.
+        self.degraded: List[RecommendationResponse] = []
         self.pending = shards
         self.fanout_span = None
 
@@ -85,7 +97,11 @@ class ScatterGatherAggregator:
         if len(coverage_fractions) != config.shards:
             raise ValueError("need exactly one coverage fraction per shard")
         self.coverage_fractions = list(coverage_fractions)
-        self.merge_cost = ShardMergeCost()
+        #: The merge cost and the coverage of a fan-out whose every leg
+        #: is full depend on the configuration only.
+        self.merge_s = ShardMergeCost().cost_s(config.shards, top_k)
+        self._full_coverage = sum(self.coverage_fractions)
+        self._full_is_partial = self._full_coverage < 1.0 - _FULL_COVERAGE_EPS
         self.telemetry = telemetry
         self._next_sub_id = SUB_REQUEST_ID_START
 
@@ -128,7 +144,8 @@ class ScatterGatherAggregator:
         merged response is stamped at merge completion — callers with a
         return leg re-stamp on delivery, as with any backend response.
         """
-        now = self.simulator.now
+        simulator = self.simulator
+        now = simulator.now
         self.fanouts += 1
         if self._fanout_counter is not None:
             self._fanout_counter.inc()
@@ -143,69 +160,104 @@ class ScatterGatherAggregator:
                 at=now,
                 shards=self.config.shards,
             )
+        call_at = simulator.call_at
+        network_delay = self.network_delay
+        leg_respond = self._leg_respond
+        sub_id = self._next_sub_id
         for shard_index, submit in enumerate(self.shard_submits):
             sub = RecommendationRequest(
-                request_id=self._next_sub_id,
+                request_id=sub_id,
                 session_id=request.session_id,
                 session_items=request.session_items,
                 sent_at=now,
                 deadline_s=request.deadline_s,
             )
-            self._next_sub_id -= 1
-            self.simulator.call_in(
-                self.network_delay(),
-                lambda submit=submit, sub=sub, shard=shard_index: submit(
-                    sub, self._leg_responder(state, shard)
-                ),
+            sub_id -= 1
+            delay = network_delay()
+            call_at(
+                now + (0.0 if delay < 0.0 else delay),
+                partial(submit, sub, partial(leg_respond, state, shard_index)),
             )
+        self._next_sub_id = sub_id
 
-    def _leg_responder(self, state: _Fanout, shard_index: int) -> ResponseCallback:
-        def respond(response: RecommendationResponse) -> None:
-            self.simulator.call_in(
-                self.network_delay(),
-                lambda: self._land(state, shard_index, response),
-            )
-
-        return respond
+    def _leg_respond(
+        self, state: _Fanout, shard_index: int, response: RecommendationResponse
+    ) -> None:
+        """A shard answered its leg: send the answer back to the aggregator."""
+        delay = self.network_delay()
+        simulator = self.simulator
+        simulator.call_at(
+            simulator.now + (0.0 if delay < 0.0 else delay),
+            partial(self._land, state, shard_index, response),
+        )
 
     def _land(
         self, state: _Fanout, shard_index: int, response: RecommendationResponse
     ) -> None:
         state.legs[shard_index] = response
+        if response.degraded:
+            state.degraded.append(response)
         state.pending -= 1
         if state.pending > 0:
             return
         now = self.simulator.now
-        merge_s = self.merge_cost.cost_s(self.config.shards, self.top_k)
+        merge_s = self.merge_s
         if state.fanout_span is not None:
             state.fanout_span.finish(
                 at=now,
-                responded=sum(1 for leg in state.legs.values() if leg.ok),
+                responded=sum(1 for leg in state.legs if leg.ok),
             )
             self.telemetry.trace.record(
                 "shard_merge", state.request.request_id, now, now + merge_s,
                 candidates=self.config.shards * self.top_k,
             )
-        self.simulator.call_in(merge_s, lambda: self._settle(state))
+        self.simulator.call_at(now + merge_s, partial(self._settle, state))
 
     # -- merge -------------------------------------------------------------
 
     def _settle(self, state: _Fanout) -> None:
         now = self.simulator.now
         request = state.request
+        legs = state.legs
+        if not state.degraded and not self._full_is_partial:
+            for leg in legs:
+                if leg.status != HTTP_OK or leg.items is not None:
+                    break
+            else:
+                # Every leg is a full, latency-only 200: full coverage,
+                # nothing to merge. The general merge below would answer
+                # exactly this, from the same legs in shard order.
+                coverage = self._full_coverage
+                self.merged_ok += 1
+                self.coverage_sum += coverage
+                self.min_coverage = min(self.min_coverage, coverage)
+                state.respond(
+                    RecommendationResponse(
+                        request_id=request.request_id,
+                        status=HTTP_OK,
+                        completed_at=now,
+                        latency_s=now - request.sent_at,
+                        inference_s=max([leg.inference_s for leg in legs]),
+                        queue_s=max([leg.queue_s for leg in legs]),
+                        batch_size=max([leg.batch_size for leg in legs]),
+                        cache_hit=all([leg.cache_hit for leg in legs]),
+                        coverage=coverage,
+                    )
+                )
+                return
         full_legs = [
             (shard, leg)
-            for shard, leg in sorted(state.legs.items())
+            for shard, leg in enumerate(legs)
             if leg.ok and not leg.degraded
         ]
-        degraded_legs = [leg for leg in state.legs.values() if leg.ok and leg.degraded]
+        degraded_legs = [leg for leg in state.degraded if leg.ok]
         coverage = sum(self.coverage_fractions[shard] for shard, _ in full_legs)
-        partial = coverage < 1.0 - _FULL_COVERAGE_EPS
+        partial_coverage = coverage < 1.0 - _FULL_COVERAGE_EPS
 
         if not full_legs and not degraded_legs:
             state.respond(self._failure(request, now))
             return
-        if partial and not self.config.allow_partial:
+        if partial_coverage and not self.config.allow_partial:
             state.respond(self._failure(request, now))
             return
 
@@ -227,7 +279,7 @@ class ScatterGatherAggregator:
         self.merged_ok += 1
         self.coverage_sum += coverage
         self.min_coverage = min(self.min_coverage, coverage)
-        if partial:
+        if partial_coverage:
             self.partial_responses += 1
             if self._partial_counter is not None:
                 self._partial_counter.inc()
@@ -242,7 +294,7 @@ class ScatterGatherAggregator:
                 batch_size=max(leg.batch_size for leg in ok_legs),
                 items=items,
                 scores=scores,
-                degraded=partial or not full_legs,
+                degraded=partial_coverage or not full_legs,
                 cache_hit=bool(full_legs)
                 and all(leg.cache_hit for _, leg in full_legs),
                 coverage=coverage,
@@ -282,7 +334,5 @@ class ScatterGatherAggregator:
             "min_coverage": round(
                 self.min_coverage if self.merged_ok else 0.0, 6
             ),
-            "merge_cost_s": self.merge_cost.cost_s(
-                self.config.shards, self.top_k
-            ),
+            "merge_cost_s": self.merge_s,
         }

@@ -36,6 +36,13 @@ class Signal:
         for resume in waiters:
             resume()
 
+    def claim(self) -> None:
+        """Mark the signal fired and drop its waiters without resuming
+        them: the caller resumes its one waiter itself, in place. Later
+        fires are no-ops, as after :meth:`fire`."""
+        self.fired = True
+        self._waiters = []
+
     def __repr__(self) -> str:
         state = "fired" if self.fired else "pending"
         return f"Signal({self.name or hex(id(self))}, {state})"

@@ -205,7 +205,8 @@ class Simulator:
         """Start a generator-based process immediately.
 
         Returns the callable that steps the process in place; use it only
-        to resume a process that yielded :data:`PARK`.
+        to resume a process that yielded :data:`PARK`, or one waiting on
+        a signal the caller claimed (:meth:`Signal.claim`).
         """
         started = _Process(self, process)
         self._processes[started] = None
