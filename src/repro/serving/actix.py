@@ -134,6 +134,8 @@ class EtudeInferenceServer:
         self._batch_counter = 0
         #: Open ``queued`` spans by request id (tracing only).
         self._queued_spans: Dict[int, "Span"] = {}
+        #: Open ``coalesced`` spans of parked followers, by request id.
+        self._coalesced_spans: Dict[int, "Span"] = {}
         #: Overload protection (both default-off; see docs/overload.md).
         self.admission = self.profile.admission
         self._codel = (
@@ -420,7 +422,7 @@ class EtudeInferenceServer:
                 self._cache_coalesced_counter.inc()
                 trace = self.telemetry.trace
                 trace.record("sent", request.request_id, request.sent_at, now)
-                trace.begin(
+                self._coalesced_spans[request.request_id] = trace.begin(
                     "coalesced", request.request_id, server=self.name
                 )
             return True
@@ -487,6 +489,8 @@ class EtudeInferenceServer:
                 # A follower recorded its ``sent`` span at intake.
                 trace.record("sent", request.request_id, request.sent_at, now)
                 self._cache_hit_counters[tier].inc()
+            else:
+                self._finish_coalesced(request, now)
             trace.record(
                 "cache_hit", request.request_id, now, now + http_s, tier=tier
             )
@@ -560,6 +564,8 @@ class EtudeInferenceServer:
             return
         now = self.simulator.now
         for waiter, waiter_respond, joined_at in self.cache.finish_flight(key):
+            if self.telemetry is not None:
+                self._finish_coalesced(waiter, now)
             if crashed:
                 self._fail(waiter, waiter_respond)
             elif self._fallback_model is not None:
@@ -572,6 +578,15 @@ class EtudeInferenceServer:
                 if self.telemetry is not None:
                     self._rejected_counter.inc()
                 self._fail(waiter, waiter_respond, charge_overhead=True)
+
+    def _finish_coalesced(
+        self, request: RecommendationRequest, now: float
+    ) -> None:
+        """The leader's outcome reached a follower: its park ends now.
+        A straggler the GPU batch re-parked behind its leader has none."""
+        span = self._coalesced_spans.pop(request.request_id, None)
+        if span is not None:
+            span.finish(at=now)
 
     # -- overload protection (all default-off) ------------------------------
 

@@ -10,6 +10,7 @@ from repro.serving import BatchingConfig, EtudeInferenceServer
 from repro.serving.request import RecommendationRequest
 from repro.simulation import Simulator
 from repro.tensor.ops import CostRecord, CostTrace
+from tests.golden.test_trace_digests import INFRA_TESTS
 
 
 def make_profile(device, fixed_bytes=1e6, item_bytes=1e5):
@@ -158,6 +159,22 @@ class TestEndToEnd:
         covered = sum(stats.total_s for stats in report.stages)
         assert covered == pytest.approx(report.end_to_end.total_s, rel=1e-9)
         assert sum(s.share for s in report.stages) == pytest.approx(1.0)
+
+    def test_coalesced_followers_close_their_spans(self):
+        """The golden overload run with a cache, traced: each follower
+        that parked behind an identical in-flight request closes its
+        ``coalesced`` span when the leader's outcome reaches it (a
+        cached answer, a degraded one or a 503), so no span is left
+        open."""
+        telemetry = Telemetry()
+        run_infra_test(
+            **INFRA_TESTS["infra-actix-overload-cache-ivf"], telemetry=telemetry
+        )
+        trace = telemetry.trace
+        coalesced = [row for row, name in enumerate(trace.names) if name == "coalesced"]
+        assert len(coalesced) == 226
+        assert [row for row, end in enumerate(trace.ends) if end is None] == []
+        assert all(trace.ends[row] >= trace.starts[row] for row in coalesced)
 
     def test_sampler_saw_loadgen_gauges(self):
         telemetry = Telemetry()
