@@ -520,8 +520,6 @@ class ExperimentRunner:
             }
             remote_entries = None
             for server in servers:
-                if server.cache is None:
-                    continue
                 for key, value in server.cache.stats().items():
                     tallies[key] += value
                 if server.cache.remote is not None:

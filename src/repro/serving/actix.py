@@ -42,7 +42,7 @@ from repro.cache.tier import RecommendationCache, RemoteCacheTier
 from repro.hardware.device import DeviceModel
 from repro.hardware.latency_model import NetworkHop, ServiceTimeProfile
 from repro.serving.access_log import AccessLog, AccessRecord
-from repro.serving.batching import BatchingConfig, assemble_unique
+from repro.serving.batching import BatchingConfig
 from repro.serving.fallback import PopularityFallback
 from repro.serving.profiles import ActixProfile
 from repro.serving.request import (
@@ -52,7 +52,7 @@ from repro.serving.request import (
     RecommendationResponse,
     ResponseCallback,
 )
-from repro.simulation import PARK, At, LognormalJitter, Signal, Simulator
+from repro.simulation import PARK, LognormalJitter, Simulator
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -273,12 +273,9 @@ class EtudeInferenceServer:
                 )
 
         self._queue: Deque[QueueEntry] = deque()
-        self._work_name = f"{name}-work"
-        self._linger_name = f"{name}-linger"
-        self._work_signal = Signal(self._work_name)
         #: Set while the GPU executor idles inside the linger window, so
         #: intake can cut the wait short the moment the buffer fills.
-        self._linger_wake: Optional[Signal] = None
+        self._lingering = False
         self._active_workers = 0
         self.completed = 0
         #: Requests executed through the GPU batch path (sum of flush
@@ -292,11 +289,12 @@ class EtudeInferenceServer:
         #: undegraded run reproduces the pre-chaos latencies).
         self.slowdown = 1.0
 
-        #: Parked CPU workers, in the order they parked: each is the
-        #: callable that resumes the worker in place.
+        #: Parked workers, in the order they parked: each is the callable
+        #: that resumes the worker in place.
         self._parked: List[Callable[[], None]] = []
         if device.supports_batching():
-            #: Steps the GPU executor in place (see ``_linger_expired``).
+            #: Steps the GPU executor in place, from ``_resume_parked``,
+            #: ``_linger_expired`` or intake's buffer-full wake.
             self._executor = simulator.spawn(self._gpu_executor())
         else:
             self._workers = [
@@ -356,14 +354,12 @@ class EtudeInferenceServer:
             self._note_queued(request)
         if self._parked:
             self._wake_parked()
-        else:
-            # The GPU executor waits on the work signal; CPU workers park.
-            self._work_signal.fire()
         if (
-            self._linger_wake is not None
+            self._lingering
             and len(self._queue) >= self.batching.max_batch_size
         ):
-            self._linger_wake.fire()
+            self._lingering = False
+            self.simulator.call_at(self.simulator.now + 0.0, self._executor)
 
     def _fail(
         self,
@@ -490,7 +486,7 @@ class EtudeInferenceServer:
                 trace.record("sent", request.request_id, request.sent_at, now)
                 self._cache_hit_counters[tier].inc()
             else:
-                self._finish_coalesced(request, now)
+                self._coalesced_spans.pop(request.request_id).finish(at=now)
             trace.record(
                 "cache_hit", request.request_id, now, now + http_s, tier=tier
             )
@@ -538,9 +534,7 @@ class EtudeInferenceServer:
         ``_resolve_flight_fail``, and partial merges happen in the
         aggregator, which has no cache. Only called with the cache on.
         """
-        key = self._flight_keys.pop(request.request_id, None)
-        if key is None:
-            return
+        key = self._flight_keys.pop(request.request_id)
         self.cache.fill(key, payload, self.simulator.now)
         for waiter, waiter_respond, joined_at in self.cache.finish_flight(key):
             self._serve_cached(
@@ -559,13 +553,11 @@ class EtudeInferenceServer:
         """
         if self.cache is None:
             return
-        key = self._flight_keys.pop(request.request_id, None)
-        if key is None:
-            return
+        key = self._flight_keys.pop(request.request_id)
         now = self.simulator.now
         for waiter, waiter_respond, joined_at in self.cache.finish_flight(key):
             if self.telemetry is not None:
-                self._finish_coalesced(waiter, now)
+                self._coalesced_spans.pop(waiter.request_id).finish(at=now)
             if crashed:
                 self._fail(waiter, waiter_respond)
             elif self._fallback_model is not None:
@@ -578,15 +570,6 @@ class EtudeInferenceServer:
                 if self.telemetry is not None:
                     self._rejected_counter.inc()
                 self._fail(waiter, waiter_respond, charge_overhead=True)
-
-    def _finish_coalesced(
-        self, request: RecommendationRequest, now: float
-    ) -> None:
-        """The leader's outcome reached a follower: its park ends now.
-        A straggler the GPU batch re-parked behind its leader has none."""
-        span = self._coalesced_spans.pop(request.request_id, None)
-        if span is not None:
-            span.finish(at=now)
 
     # -- overload protection (all default-off) ------------------------------
 
@@ -815,11 +798,6 @@ class EtudeInferenceServer:
 
     # -- shared helpers -------------------------------------------------------
 
-    def _wait_for_work(self) -> Signal:
-        if self._work_signal.fired:
-            self._work_signal = Signal(self._work_name)
-        return self._work_signal
-
     def _http_overhead(self) -> float:
         profile = self.profile
         return profile.request_overhead_s * self._jitter(profile.jitter_sigma)
@@ -938,7 +916,7 @@ class EtudeInferenceServer:
         return (other_s + memory_s * contention) * noise * self.slowdown
 
     def _wake_parked(self) -> None:
-        """Resume the parked CPU workers from one event, at the current
+        """Resume the parked workers from one event, at the current
         instant, where the first of one zero-delay wake per worker would
         sit. Those wakes would take consecutive sequence numbers, so
         nothing could run between them: one event running them back to
@@ -1055,7 +1033,8 @@ class EtudeInferenceServer:
             batching = self.batching
             max_batch = batching.max_batch_size
             if not queue:
-                yield self._wait_for_work()
+                self._parked.append(self._executor)
+                yield PARK
                 continue
             # Honour the linger window: flush when the oldest buffered
             # request is max_delay old or the buffer is full.
@@ -1068,19 +1047,12 @@ class EtudeInferenceServer:
                 # buffer: sleeping out the rest of the window with a full
                 # buffer only delays a flush that could already happen.
                 linger_started = simulator.now
-                if deadline < simulator.next_event_time():
-                    # Nothing can enqueue before the deadline: no event is
-                    # due until after it, so resume there directly.
-                    yield At(deadline)
-                else:
-                    wake = Signal(self._linger_name)
-                    deadline_timer = simulator.call_at(
-                        deadline, self._linger_expired
-                    )
-                    self._linger_wake = wake
-                    yield wake
-                    self._linger_wake = None
-                    simulator.cancel(deadline_timer)
+                deadline_timer = simulator.call_at(
+                    deadline, self._linger_expired
+                )
+                self._lingering = True
+                yield PARK
+                simulator.cancel(deadline_timer)
             # Under admission control only still-viable requests are
             # taken: doomed work must not occupy a GPU batch slot.
             batch = []
@@ -1091,22 +1063,6 @@ class EtudeInferenceServer:
                 batch.append(entry)
             if not batch:
                 continue
-            if self.cache is not None:
-                # GPU batches execute unique keys only: intake coalescing
-                # already guarantees this, assemble_unique enforces it —
-                # any same-key straggler re-parks behind the leader in the
-                # same batch instead of burning a batch slot.
-                batch, duplicates = assemble_unique(
-                    batch,
-                    lambda entry: self._flight_keys.get(entry[0].request_id),
-                )
-                for dup_request, dup_respond, dup_arrival in duplicates:
-                    key = self._flight_keys.pop(dup_request.request_id)
-                    self.cache.join_flight(
-                        key, (dup_request, dup_respond, dup_arrival)
-                    )
-                if not batch:
-                    continue
             take = len(batch)
             started = simulator.now
             batch_time = self._gpu_batch_time(take, batch)
@@ -1138,21 +1094,20 @@ class EtudeInferenceServer:
     def _linger_expired(self) -> None:
         """The linger deadline timer: wake the GPU executor.
 
-        Nothing to do if intake filled the buffer first: the wake has
-        fired and its hop is due. If no other event is due at this
-        instant, the zero-delay hop ``fire`` would schedule is the very
-        next event, so the executor is stepped in place instead. Otherwise
-        the hop queues behind the events already due now, as before.
+        Nothing to do if intake filled the buffer first: its wake is
+        already due. If no other event is due at this instant, a
+        zero-delay hop would be the very next event, so the executor is
+        stepped in place instead. Otherwise the hop queues behind the
+        events already due now.
         """
-        wake = self._linger_wake
-        if wake.fired:
+        if not self._lingering:
             return
+        self._lingering = False
         simulator = self.simulator
         if simulator.next_event_time() > simulator.now:
-            wake.claim()
             self._executor()
         else:
-            wake.fire()
+            simulator.call_at(simulator.now + 0.0, self._executor)
 
     def _trace_batch(self, batch, started, batch_time, take, linger_started):
         """Record queued / batch_assembled / inference spans for one flush.

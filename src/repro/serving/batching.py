@@ -13,9 +13,6 @@ closed-loop behaviour that makes GPU throughput scale with load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
-
-Entry = TypeVar("Entry")
 
 
 @dataclass(frozen=True)
@@ -30,33 +27,3 @@ class BatchingConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_delay_s < 0:
             raise ValueError("max_delay_s must be >= 0")
-
-
-def assemble_unique(
-    entries: Sequence[Entry],
-    key_of: Callable[[Entry], Optional[object]],
-) -> Tuple[List[Entry], List[Entry]]:
-    """Split a batch into unique-key entries and same-key duplicates.
-
-    With the result cache enabled, a GPU batch must contain at most one
-    request per cache key — duplicates would spend batch slots recomputing
-    an answer the singleflight table already has in flight. The intake-side
-    coalescing makes duplicates impossible in the normal flow; this helper
-    *enforces* the invariant at batch-assembly time (and is the surface the
-    coalescing tests exercise). Entries whose key is ``None`` (no cache
-    involvement) always pass through.
-
-    Returns ``(unique, duplicates)`` preserving arrival order.
-    """
-    seen: set = set()
-    unique: List[Entry] = []
-    duplicates: List[Entry] = []
-    for entry in entries:
-        key = key_of(entry)
-        if key is not None and key in seen:
-            duplicates.append(entry)
-            continue
-        if key is not None:
-            seen.add(key)
-        unique.append(entry)
-    return unique, duplicates

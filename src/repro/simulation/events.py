@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 
 class Signal:
@@ -35,13 +35,6 @@ class Signal:
         waiters, self._waiters = self._waiters, []
         for resume in waiters:
             resume()
-
-    def claim(self) -> None:
-        """Mark the signal fired and drop its waiters without resuming
-        them: the caller resumes its one waiter itself, in place. Later
-        fires are no-ops, as after :meth:`fire`."""
-        self.fired = True
-        self._waiters = []
 
     def __repr__(self) -> str:
         state = "fired" if self.fired else "pending"

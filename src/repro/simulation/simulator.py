@@ -205,8 +205,7 @@ class Simulator:
         """Start a generator-based process immediately.
 
         Returns the callable that steps the process in place; use it only
-        to resume a process that yielded :data:`PARK`, or one waiting on
-        a signal the caller claimed (:meth:`Signal.claim`).
+        to resume a process that yielded :data:`PARK`.
         """
         started = _Process(self, process)
         self._processes[started] = None

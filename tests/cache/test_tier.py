@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.cache.keys import SessionKeyer, prefix_tuple
 from repro.cache.policy import MISSING
 from repro.cache.tier import CacheConfig, RecommendationCache, RemoteCacheTier
-from repro.serving.batching import assemble_unique
 
 
 class TestCacheConfigGrammar:
@@ -198,16 +197,3 @@ class TestRemoteTier:
     def test_remote_requires_capacity(self):
         with pytest.raises(ValueError):
             RemoteCacheTier(CacheConfig(capacity=8, remote_capacity=0))
-
-
-class TestAssembleUnique:
-    def test_duplicates_split_out_in_order(self):
-        entries = ["a1", "b1", "a2", "c1", "b2"]
-        unique, duplicates = assemble_unique(entries, key_of=lambda e: e[0])
-        assert unique == ["a1", "b1", "c1"]
-        assert duplicates == ["a2", "b2"]
-
-    def test_none_keys_always_pass_through(self):
-        entries = ["x", "y", "z"]
-        unique, duplicates = assemble_unique(entries, key_of=lambda e: None)
-        assert unique == entries and duplicates == []

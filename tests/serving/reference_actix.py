@@ -13,11 +13,18 @@ only the intake, CPU worker and GPU executor, and adds the two
 completion methods; everything else is the production server's. It
 runs on ``tests/simulation/reference_simulator.py``, whose handles
 cancel themselves, as these methods expect.
+
+What those methods need that the production server no longer has is
+kept here too, verbatim from the server before its idle GPU executor
+parked and its batches stopped folding same-key entries: the work and
+linger signal attributes (set in ``__init__``), ``_wait_for_work`` and
+``assemble_unique``.
 """
+
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.serving.access_log import AccessRecord
 from repro.serving.actix import EtudeInferenceServer
-from repro.serving.batching import assemble_unique
 from repro.serving.request import (
     HTTP_OK,
     HTTP_SERVICE_UNAVAILABLE,
@@ -27,8 +34,56 @@ from repro.serving.request import (
 )
 from repro.simulation import Signal
 
+Entry = TypeVar("Entry")
+
+
+def assemble_unique(
+    entries: Sequence[Entry],
+    key_of: Callable[[Entry], Optional[object]],
+) -> Tuple[List[Entry], List[Entry]]:
+    """Split a batch into unique-key entries and same-key duplicates.
+
+    With the result cache enabled, a GPU batch must contain at most one
+    request per cache key — duplicates would spend batch slots recomputing
+    an answer the singleflight table already has in flight. The intake-side
+    coalescing makes duplicates impossible in the normal flow; this helper
+    *enforces* the invariant at batch-assembly time (and is the surface the
+    coalescing tests exercise). Entries whose key is ``None`` (no cache
+    involvement) always pass through.
+
+    Returns ``(unique, duplicates)`` preserving arrival order.
+    """
+    seen: set = set()
+    unique: List[Entry] = []
+    duplicates: List[Entry] = []
+    for entry in entries:
+        key = key_of(entry)
+        if key is not None and key in seen:
+            duplicates.append(entry)
+            continue
+        if key is not None:
+            seen.add(key)
+        unique.append(entry)
+    return unique, duplicates
+
 
 class ReferenceServer(EtudeInferenceServer):
+    def __init__(self, *args, **kwargs):
+        # The processes first step at the first event, after this.
+        super().__init__(*args, **kwargs)
+        name = self.name
+        self._work_name = f"{name}-work"
+        self._linger_name = f"{name}-linger"
+        self._work_signal = Signal(self._work_name)
+        #: Set while the GPU executor idles inside the linger window, so
+        #: intake can cut the wait short the moment the buffer fills.
+        self._linger_wake: Optional[Signal] = None
+
+    def _wait_for_work(self) -> Signal:
+        if self._work_signal.fired:
+            self._work_signal = Signal(self._work_name)
+        return self._work_signal
+
     def _enqueue(
         self, request: RecommendationRequest, respond: ResponseCallback
     ) -> None:
