@@ -523,7 +523,7 @@ def _cmd_infra(args, out) -> int:
     out.write(
         f"{args.server}: {result.ok}/{result.total} ok, "
         f"{result.errors} errors ({result.error_rate * 100:.1f}%), "
-        f"p90={result.p90_ms:.2f} ms\n"
+        f"p90={'n/a' if result.p90_ms is None else f'{result.p90_ms:.2f} ms'}\n"
     )
     if features["retry"] is not None or features["chaos"] is not None:
         out.write(
@@ -659,14 +659,18 @@ def _cmd_run(args, out) -> int:
         p90_target = result.p90_at_target_ms
         meets = result.meets_slo(slo.p90_latency_ms, slo.max_error_rate)
         all_ok = all_ok and meets
+        percentiles = (
+            "n/a"
+            if result.p90_ms is None
+            else f"{result.p50_ms:.1f}/{result.p90_ms:.1f}/{result.p99_ms:.1f} ms"
+        )
         out.write(
             f"{spec.model} C={spec.catalog_size:,} on "
             f"{spec.hardware.instance_type} x{spec.hardware.replicas} "
             f"@ {spec.target_rps} req/s [{result.execution_mode}]\n"
             f"  ok={result.ok_requests} errors={result.error_requests} "
             f"achieved={result.achieved_rps:.0f} req/s\n"
-            f"  p50/p90/p99={result.p50_ms:.1f}/{result.p90_ms:.1f}/"
-            f"{result.p99_ms:.1f} ms, p90@target="
+            f"  p50/p90/p99={percentiles}, p90@target="
             f"{'n/a' if p90_target is None else f'{p90_target:.1f} ms'}\n"
             f"  meets p90<={slo.p90_latency_ms:.0f}ms SLO: {meets}\n"
         )

@@ -261,6 +261,32 @@ class TestInfraActixGuards:
         assert "torchserve: 1/1 ok" in out.getvalue()
 
 
+class TestRunsWithoutA200:
+    """A run that served no 200 has no latency percentiles to print."""
+
+    def test_run_prints_na(self):
+        out = io.StringIO()
+        code = repro.cli.main(
+            ["run", "--model", "gru4rec", "--catalog", "1000", "--rps", "10",
+             "--duration", "5", "--instance", "CPU",
+             "--chaos", "crash@0:pod=0:restart=none"],
+            out=out,
+        )
+        assert code == 2
+        assert "  ok=0 errors=21 " in out.getvalue()
+        assert "  p50/p90/p99=n/a, p90@target=n/a\n" in out.getvalue()
+
+    def test_infra_test_prints_na(self):
+        out = io.StringIO()
+        code = repro.cli.main(
+            ["infra-test", "--server", "actix", "--rps", "50",
+             "--duration", "3", "--chaos", "crash@0:restart=none"],
+            out=out,
+        )
+        assert code == 0
+        assert "actix: 0/52 ok, 52 errors (100.0%), p90=n/a\n" in out.getvalue()
+
+
 def run_repro(*argv):
     return subprocess.run(
         [sys.executable, "-m", "repro", *argv],
