@@ -6,6 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from repro.core.infra_test import run_infra_test
 from repro.hardware import CPU_E2, GPU_T4, LatencyModel
 from repro.serving import (
     ActixProfile,
@@ -229,6 +230,18 @@ class TestServerShedding:
         assert server.shed_deadline > 0
         assert all(r.batch_size <= 8 for r in executed)
         assert server.completed + server.shed_total == 30
+
+    def test_codel_sheds_answer_503s_end_to_end(self):
+        """A saturated infra test under CoDel: every shed is a CoDel
+        shed, and without a fallback tier each one is a 503."""
+        result = run_infra_test(
+            "actix", target_rps=8_000, duration_s=4.0, seed=7,
+            admission="codel,target=0.005,interval=0.05",
+        )
+        overload = result.overload
+        assert overload["shed_codel"] > 0
+        assert overload["shed_deadline"] == overload["shed_queue_full"] == 0
+        assert result.errors == overload["shed_codel"]
 
     def test_no_admission_keeps_counters_at_zero(self):
         sim = Simulator()

@@ -7,17 +7,18 @@ parked CPU worker, and every linger through a deadline timer, a
 ``Signal`` and a hop. It also keeps their completion: ``_respond_ok``,
 an access record the CPU worker writes itself, a ``_make_responder``
 closure per GPU response, and an ``admission`` and tenant-count test on
-every dequeue. The production server resumes parked CPU workers from
-one event, only while work is queued, resumes a linger at its deadline
-directly when no event is due before it, completes every executed
-request through one method, and picks each process's dequeue once.
+every dequeue. The production server parks every idle worker, the GPU
+executor too, and resumes them from one event, only while work is
+queued; a linger is one deadline timer that steps the executor in place
+when no other event is due at its instant. It completes every executed
+request through one method and picks each process's dequeue once.
 
 Hypothesis draws programs on a grid of 2**-10 s (about 1 ms), so every
 sum of grid times is an exact float and ties are common: simultaneous
 arrivals, completions and linger deadlines on an arrival instant,
-crashes inside a linger window, deadline shedding on both paths, and
-clients that answer a response with a new request inside the same
-event. The jitter is a fixed cycle of multipliers. After every
+crashes inside a linger window, deadline and CoDel shedding on both
+paths, and clients that answer a response with a new request inside
+the same event. The jitter is a fixed cycle of multipliers. After every
 ``run(until=...)`` step both servers must show the same responses (id,
 status and the ``repr`` of every time), the same counters and the same
 ``pending_events``; once drained, the same access log.
@@ -64,8 +65,10 @@ programs = st.fixed_dictionaries(
             min_size=1,
             max_size=24,
         ),
+        # Discipline, slack, and the CoDel target and interval, in slots.
         "admission": st.none() | st.tuples(
-            st.sampled_from(["fifo", "lifo"]), st.integers(0, 2)
+            st.sampled_from(["fifo", "lifo", "codel"]),
+            st.integers(0, 2), st.integers(1, 3), st.integers(1, 4),
         ),
         "crash": st.none() | st.tuples(slots, st.integers(1, 8)),
         # Responses the client answers at once with a new request.
@@ -82,8 +85,11 @@ def execute(side, device, program):
     sim = simulator_cls()
     admission = None
     if program["admission"] is not None:
-        discipline, slack = program["admission"]
-        admission = AdmissionPolicy(discipline=discipline, slack_s=slack * GRID)
+        discipline, slack, target, interval = program["admission"]
+        admission = AdmissionPolicy(
+            discipline=discipline, slack_s=slack * GRID,
+            codel_target_s=target * GRID, codel_interval_s=interval * GRID,
+        )
     server = server_cls(
         sim,
         device,
@@ -220,9 +226,24 @@ def test_shed_at_a_linger_deadline_answered_at_once():
     program = dict(
         fixed=1, per_item=1, overhead=0, jitter=[1.0], workers=1,
         max_batch=3, max_delay=2, arrivals=[(0, None), (2, 0)],
-        admission=("fifo", 0), crash=None, followups=1, steps=[],
+        admission=("fifo", 0, 1, 1), crash=None, followups=1, steps=[],
     )
     log = assert_sides_match(GPU_T4_DEVICE, program)
     # The 503, then the first arrival and the follow-up in one batch.
     responses = [entry for entry in log if entry[0] == "response"]
     assert [(entry[1], entry[-1]) for entry in responses] == [(1, 1), (0, 2), (2, 2)]
+
+
+def test_codel_sheds_a_cpu_backlog():
+    """Eight simultaneous arrivals on one CPU worker: once the sojourn has
+    stayed above target for an interval, CoDel sheds at the head, here
+    every other request. Drawn programs seldom queue this deep on the CPU
+    path."""
+    program = dict(
+        fixed=2, per_item=1, overhead=0, jitter=[1.0], workers=1,
+        max_batch=1, max_delay=0, arrivals=[(0, None)] * 8,
+        admission=("codel", 0, 1, 2), crash=None, followups=0, steps=[3, 9],
+    )
+    log = assert_sides_match(CPU_E2_DEVICE, program)
+    statuses = [entry[2] for entry in log if entry[0] == "response"]
+    assert statuses == [200, 200, 503, 200, 503, 200, 503, 200]
