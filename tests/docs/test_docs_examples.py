@@ -186,6 +186,15 @@ class TestReferences:
             "doc.md:3: no Makefile target 'no-such-target'",
         ]
 
+    def test_missing_dotted_name_flagged(self):
+        text = (
+            "`repro.core.spec`, `repro.serving.batching.BatchingConfig` and\n"
+            "`repro.serving.batching.no_such_helper`; `python -m repro run`.\n"
+        )
+        assert docs_check.check_references(text, "doc.md", set()) == [
+            "doc.md:2: no name repro.serving.batching.no_such_helper",
+        ]
+
 
 class TestRealDocs:
     def test_shipped_documentation_is_clean(self, capsys):

@@ -32,7 +32,9 @@ documents ``chaos_events_total``.
 References cannot go stale either: every repository path an inline code
 span names (one with a ``/`` ending in ``.py``, ``.md`` or ``.json``,
 resolved against the repository root, ``src/`` and ``src/repro/``) must
-exist, and every ``make <target>`` span must name a Makefile target.
+exist, every ``make <target>`` span must name a Makefile target, and
+every dotted ``repro.`` name must resolve: its longest importable module
+prefix is imported, and each remaining part must be an attribute.
 
 Run directly:  ``python tools/docs_check.py`` (it adds ``src/`` to the
 import path itself).
@@ -64,6 +66,8 @@ IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
 PATH_RE = re.compile(r"[\w.-]+(?:/[\w.-]+)+\.(?:py|md|json)\b")
 PATH_ROOTS = (REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro")
 MAKE_RE = re.compile(r"make ([\w-]+)")
+#: A dotted name in the package: ``repro.serving.batching.BatchingConfig``.
+DOTTED_RE = re.compile(r"\brepro(?:\.\w+)+")
 #: Calls whose literal first argument names an instrument or a span.
 NAMING_CALLS = {
     "counter": "instrument", "gauge": "instrument", "histogram": "instrument",
@@ -307,13 +311,34 @@ def makefile_targets() -> Set[str]:
     return set(re.findall(r"^([\w-]+)\s*:(?!=)", text, re.MULTILINE))
 
 
+def resolves(name: str) -> bool:
+    """Whether a dotted name is a module, or attributes of its longest
+    importable module prefix."""
+    parts = name.split(".")
+    for end in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:end]))
+        except ImportError:
+            continue
+        for part in parts[end:]:
+            if not hasattr(target, part):
+                return False
+            target = getattr(target, part)
+        return True
+    return False
+
+
 def check_references(text: str, display, targets: Set[str]) -> List[str]:
-    """Every repository path and ``make`` target the text backticks exists."""
+    """Every repository path, ``make`` target and dotted ``repro.`` name
+    the text backticks exists."""
     problems = []
     for number, code in inline_code(text):
         for path in PATH_RE.findall(code):
             if not any((root / path).exists() for root in PATH_ROOTS):
                 problems.append(f"{display}:{number}: no file {path}")
+        for name in DOTTED_RE.findall(code):
+            if not resolves(name):
+                problems.append(f"{display}:{number}: no name {name}")
         make = MAKE_RE.match(code)
         if make and make.group(1) not in targets:
             problems.append(
