@@ -1,12 +1,10 @@
-"""Resilience wiring at the experiment level: spec coercion, specfile
-round-trips, telemetry counters/spans, and the disabled-path determinism
-invariant."""
+"""Resilience wiring at the experiment level: telemetry counters/spans
+and the disabled-path determinism invariant."""
 
 import pytest
 
 from repro.core import ExperimentRunner, ExperimentSpec, HardwareSpec
-from repro.core.specfile import spec_from_dict, spec_to_dict
-from repro.cluster import ChaosSchedule, PodCrash
+from repro.cluster import ChaosSchedule
 from repro.loadgen import RetryPolicy
 from repro.obs import Telemetry
 
@@ -18,37 +16,6 @@ def spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
-
-
-class TestSpecCoercion:
-    def test_string_specs_coerce_to_objects(self):
-        s = spec(retry="max=2,base=0.05", chaos="crash@10:restart=5")
-        assert isinstance(s.retry, RetryPolicy)
-        assert s.retry.max_retries == 2
-        assert isinstance(s.chaos, ChaosSchedule)
-        assert s.chaos.events == (PodCrash(at_s=10.0, restart_after_s=5.0),)
-
-    def test_object_specs_pass_through(self):
-        policy = RetryPolicy(max_retries=4)
-        schedule = ChaosSchedule(events=(PodCrash(at_s=1.0),))
-        s = spec(retry=policy, chaos=schedule)
-        assert s.retry is policy
-        assert s.chaos is schedule
-
-    def test_specfile_round_trip(self):
-        s = spec(retry="max=3,base=0.02,cap=1,jitter=0.25,hedge=0.2",
-                 chaos="crash@15:restart=10,slow@30:factor=2:dur=5")
-        document = spec_to_dict(s)
-        assert isinstance(document["retry"], str)
-        assert isinstance(document["chaos"], str)
-        restored, _slo = spec_from_dict(document)
-        assert restored.retry == s.retry
-        assert restored.chaos == s.chaos
-
-    def test_specfile_omits_unset_resilience(self):
-        document = spec_to_dict(spec())
-        assert "retry" not in document
-        assert "chaos" not in document
 
 
 class TestInstrumentedResilienceRun:

@@ -1,8 +1,8 @@
-"""Heterogeneous scheduler end to end: the compact grammar, spec/CLI
-wiring, dispatcher routing invariants (a tight-deadline request never
-waits out a full GPU linger), tuner convergence, the disabled-mode
-bit-identity contract on both pod classes, deployment guards, and the
-planner's mixed-fleet dimension."""
+"""Heterogeneous scheduler end to end: the compact grammar, dispatcher
+routing invariants (a tight-deadline request never waits out a full GPU
+linger), tuner convergence, the disabled-mode bit-identity contract on
+both pod classes, deployment guards, and the planner's mixed-fleet
+dimension."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.cluster.kubernetes import AuxiliaryFleet, DeploymentError
 from repro.core import DeploymentPlanner, ExperimentRunner, ExperimentSpec, HardwareSpec
 from repro.core.spec import Scenario
-from repro.core.specfile import spec_from_dict, spec_to_dict
 from repro.hardware.instances import instance_by_name
 from repro.scheduler import (
     EpochObservation,
@@ -78,23 +77,6 @@ class TestConfig:
     def test_tuner_only_form_is_enabled(self):
         config = SchedulerConfig.parse("cpu=0")
         assert config.enabled and config.cpu_replicas == 0
-
-
-class TestSpecWiring:
-    def test_spec_coerces_string(self):
-        coerced = spec(scheduler="cpu=2,target=20")
-        assert isinstance(coerced.scheduler, SchedulerConfig)
-        assert coerced.scheduler.cpu_replicas == 2
-
-    def test_specfile_round_trip(self):
-        original = spec(scheduler="cpu=2,short=6")
-        document = spec_to_dict(original)
-        assert document["scheduler"] == "cpu=2,short=6"
-        rebuilt, _slo = spec_from_dict(document)
-        assert rebuilt.scheduler == original.scheduler
-
-    def test_specfile_omits_absent_scheduler(self):
-        assert "scheduler" not in spec_to_dict(spec())
 
 
 class TestDispatcherRouting:
