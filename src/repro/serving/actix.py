@@ -293,8 +293,9 @@ class EtudeInferenceServer:
         #: that resumes the worker in place.
         self._parked: List[Callable[[], None]] = []
         if device.supports_batching():
-            #: Steps the GPU executor in place, from ``_resume_parked``,
-            #: ``_linger_expired`` or intake's buffer-full wake.
+            #: Steps the GPU executor: ``_resume_parked`` and
+            #: ``_linger_expired`` call it in place, and intake schedules
+            #: it when it fills the buffer of a linger.
             self._executor = simulator.spawn(self._gpu_executor())
         else:
             self._workers = [
