@@ -23,8 +23,11 @@ from typing import Optional
 
 import numpy as np
 
+from repro.grammar import format_options, parse_options
+
 _KNOWN_KINDS = ("exact", "ivf")
-_KNOWN_OPTIONS = ("nlist", "nprobe")
+#: spec key -> (field, cast) of the options after ``ivf:``.
+_KEYS = {"nlist": ("nlist", int), "nprobe": ("nprobe", int)}
 
 #: k-means passes charged when estimating index-build time; matches the
 #: default ``IVFFlatIndex(kmeans_iterations=12)``.
@@ -85,34 +88,14 @@ class RetrievalConfig:
                 f"unknown retrieval kind {kind!r}; "
                 f"expected one of {', '.join(_KNOWN_KINDS)}"
             )
-        values = {}
-        for item in options.split(","):
-            key, separator, value = item.partition("=")
-            key = key.strip()
-            if not separator or key not in _KNOWN_OPTIONS:
-                raise ValueError(
-                    f"unknown retrieval option {item.strip()!r}; "
-                    f"expected key=value with keys "
-                    f"{', '.join(_KNOWN_OPTIONS)}"
-                )
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"retrieval option {key} needs an integer, got {value!r}"
-                )
-        return cls(kind="ivf", **values)
+        return cls(kind="ivf", **parse_options(options, "retrieval", _KEYS))
 
     def spec_string(self) -> str:
         """The canonical compact form; ``parse`` round-trips it."""
         if not self.enabled:
             return "exact"
-        options = []
-        if self.nlist is not None:
-            options.append(f"nlist={self.nlist}")
-        if self.nprobe != 8:
-            options.append(f"nprobe={self.nprobe}")
-        return "ivf" + (":" + ",".join(options) if options else "")
+        options = format_options(self, _KEYS, skip_defaults=True)
+        return "ivf" + (":" + options if options else "")
 
     def effective_nlist(self, catalog_size: int, materialized_cap: int = 32768) -> int:
         """The centroid count an index built for ``catalog_size`` will use.

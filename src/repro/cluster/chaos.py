@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.grammar import format_value
+from repro.grammar import format_value, parse_options
 from repro.simulation import Simulator
 
 if TYPE_CHECKING:
@@ -314,17 +314,8 @@ class ChaosSchedule:
                     f"kind in {sorted(_EVENT_KINDS)}"
                 )
             event_cls, keys = _EVENT_KINDS[kind]
-            kwargs: dict = {"at_s": float(at_text)}
-            for option in options:
-                key, eq, value = option.partition("=")
-                if not eq or key not in keys:
-                    raise ValueError(
-                        f"bad chaos option {option!r} for {kind!r}; "
-                        f"known: {sorted(keys)}"
-                    )
-                name, cast = keys[key]
-                kwargs[name] = cast(value)
-            events.append(event_cls(**kwargs))
+            kwargs = parse_options(",".join(options), f"chaos {kind}", keys)
+            events.append(event_cls(at_s=float(at_text), **kwargs))
         return cls(events=tuple(events))
 
     def spec_string(self) -> str:

@@ -18,10 +18,14 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from repro.grammar import format_options, parse_options
+
 #: Environment variable consulted when no explicit backend is given.
 BACKEND_ENV_VAR = "ETUDE_BACKEND"
 
 _KINDS = ("serial", "mp")
+#: spec key -> (field, cast) of the options after ``mp:``.
+_KEYS = {"workers": ("workers", int)}
 
 
 @dataclass(frozen=True)
@@ -62,32 +66,19 @@ class BackendConfig:
             raise ValueError(
                 f"unknown backend {kind!r}; expected 'serial' or 'mp[:workers=N]'"
             )
-        workers = 0
-        if options:
-            for part in options.split(","):
-                part = part.strip()
-                if not part:
-                    continue
-                name, eq, value = part.partition("=")
-                if name.strip() != "workers" or not eq:
-                    raise ValueError(
-                        f"unknown backend option {part!r}; expected 'workers=N'"
-                    )
-                try:
-                    workers = int(value.strip())
-                except ValueError:
-                    raise ValueError(f"workers must be an integer: {value!r}")
-                if workers < 1:
-                    raise ValueError("workers must be >= 1")
-            if kind == "serial":
-                raise ValueError("the serial backend takes no options")
-        return cls(kind=kind, workers=workers)
+        kwargs = parse_options(options, "backend", _KEYS)
+        if kwargs and kind == "serial":
+            raise ValueError("the serial backend takes no options")
+        if kwargs.get("workers", 1) < 1:
+            raise ValueError("workers must be >= 1")
+        return cls(kind=kind, **kwargs)
 
     def spec_string(self) -> str:
         """The canonical spec string (``parse`` round-trips it)."""
         if self.kind == "serial":
             return "serial"
-        return f"mp:workers={self.workers}" if self.workers else "mp"
+        options = format_options(self, _KEYS, skip_defaults=True)
+        return "mp" + (":" + options if options else "")
 
 
 def resolve_backend(

@@ -1,11 +1,16 @@
 """The shared ``key=value`` grammar of the compact spec strings.
 
-Routing, admission, the cache, the fallback tier and client retries read
-one shape of text: comma-separated parts, an optional bare token, and
-``key=value`` options mapped through a ``{key: (field, cast)}`` table.
-:func:`parse_options` reads that shape and :func:`format_options` writes
-it back. :func:`format_value` is the number formatter every
-``spec_string()`` uses, so a written spec parses back to the same config.
+Every option list of a spec string has one shape: comma-separated parts,
+an optional bare token, and ``key=value`` options mapped through a
+``{key: (field, cast)}`` table. :func:`parse_options` reads that shape
+and :func:`format_options` writes it back. Client retries, admission,
+routing, the cache, the fallback tier, the scheduler and sharding are
+that shape whole; retrieval (after ``ivf:``), the execution backend
+(after ``mp:``), a tenant (after ``name=model:weight``) and a chaos event
+(after ``kind@seconds``, its ``:``-separated options) read their option
+list through it. :func:`on_off` is the cast of a switch.
+:func:`format_value` is the number formatter every ``spec_string()``
+uses, so a written spec parses back to the same config.
 
 Standard library only: ``repro.core`` imports the config modules that
 import this one, so it must not live there.
@@ -36,6 +41,13 @@ def format_value(value: Any) -> str:
     return text if float(text) == value else repr(float(value))
 
 
+def on_off(text: str) -> bool:
+    """The cast of a switch: ``on`` is True and ``off`` is False."""
+    if text not in ("on", "off"):
+        raise ValueError(f"expected on/off, got {text!r}")
+    return text == "on"
+
+
 def parse_options(
     text: str,
     noun: str,
@@ -44,10 +56,11 @@ def parse_options(
 ) -> Dict[str, Any]:
     """Keyword arguments from a ``[token,]key=value,...`` spec string.
 
-    Empty parts are dropped. A part without ``=`` goes to ``bare``, which
-    returns the keyword arguments it sets and raises its own message for
-    a token it does not know; without a handler such a part is an error.
-    Casts run unwrapped, so a bad value raises the cast's own message.
+    Whitespace around each part, key and value is dropped, and so are
+    empty parts. A part without ``=`` goes to ``bare``, which returns the
+    keyword arguments it sets and raises its own message for a token it
+    does not know; without a handler such a part is an error. Casts run
+    unwrapped, so a bad value raises the cast's own message.
     """
     kwargs: Dict[str, Any] = {}
     for part in filter(None, (p.strip() for p in text.split(","))):
@@ -59,12 +72,13 @@ def parse_options(
             kwargs.update(bare(part))
             continue
         key, _, value = part.partition("=")
+        key = key.strip()
         if key not in keys:
             raise ValueError(
                 f"unknown {noun} spec key {key!r}; known: {sorted(keys)}"
             )
         name, cast = keys[key]
-        kwargs[name] = cast(value)
+        kwargs[name] = cast(value.strip())
     return kwargs
 
 
@@ -77,19 +91,22 @@ def format_options(
     """The spec string of ``config`` that :func:`parse_options` reads back.
 
     ``head`` names the field written first, as a bare token. Options
-    follow in ``keys`` order. A None value is left out, and so is a value
-    equal to the config class's default when ``skip_defaults`` is set.
+    follow in ``keys`` order; a field cast by :func:`on_off` is written
+    ``on``/``off``. A None value is left out, and so is a value equal to
+    the config class's default when ``skip_defaults`` is set.
     """
     default = type(config)() if skip_defaults else None
-    parts = [] if head is None else [getattr(config, head)]
-    for key, (name, _cast) in keys.items():
+    parts = [] if head is None else [format_value(getattr(config, head))]
+    for key, (name, cast) in keys.items():
         value = getattr(config, name)
         if name == head or value is None:
             continue
         if skip_defaults and value == getattr(default, name):
             continue
+        if cast is on_off:
+            value = "on" if value else "off"
         parts.append(f"{key}={format_value(value)}")
     return ",".join(parts)
 
 
-__all__ = ["Keys", "format_options", "format_value", "parse_options"]
+__all__ = ["Keys", "format_options", "format_value", "on_off", "parse_options"]

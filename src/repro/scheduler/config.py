@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.grammar import format_value
+from repro.grammar import format_options, on_off, parse_options
 
 #: key -> (attribute, converter) for the ``key=value`` grammar.
 _KEYS = {
@@ -55,7 +55,7 @@ _KEYS = {
     "slack": ("slack_s", float),
     "batch": ("max_batch", int),
     "linger": ("linger_s", float),
-    "tune": ("tune", None),  # on/off, handled specially
+    "tune": ("tune", on_off),
     "epoch": ("epoch_s", float),
     "target": ("target_p_ms", float),
     "q": ("quantile", float),
@@ -123,50 +123,13 @@ class SchedulerConfig:
         text = text.strip()
         if text in ("off", "none"):
             return cls(cpu_replicas=0, tune=False)
-        if text == "":
-            return cls()
-        values = {}
-        for item in text.split(","):
-            key, separator, value = item.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not separator or key not in _KEYS:
-                raise ValueError(
-                    f"unknown scheduler option {item.strip()!r}; expected "
-                    f"key=value with keys {', '.join(_KEYS)}"
-                )
-            attribute, converter = _KEYS[key]
-            if key == "tune":
-                if value not in ("on", "off"):
-                    raise ValueError(
-                        f"scheduler option tune needs on/off, got {value!r}"
-                    )
-                values[attribute] = value == "on"
-                continue
-            try:
-                values[attribute] = converter(value)
-            except ValueError:
-                raise ValueError(
-                    f"scheduler option {key} needs a "
-                    f"{converter.__name__}, got {value!r}"
-                )
-        return cls(**values)
+        return cls(**parse_options(text, "scheduler", _KEYS))
 
     def spec_string(self) -> str:
         """The canonical compact form; ``parse`` round-trips it."""
         if not self.enabled:
             return "off"
-        default = SchedulerConfig()
-        parts = []
-        for key, (attribute, _) in _KEYS.items():
-            value = getattr(self, attribute)
-            if value == getattr(default, attribute):
-                continue
-            if key == "tune":
-                parts.append(f"tune={'on' if value else 'off'}")
-            else:
-                parts.append(f"{key}={format_value(value)}")
-        return ",".join(parts) if parts else "cpu=1"
+        return format_options(self, _KEYS, skip_defaults=True) or "cpu=1"
 
     def initial_batching(self) -> Tuple[int, float]:
         """The (max_batch, linger_s) pair GPU pods start from."""

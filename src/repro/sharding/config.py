@@ -16,6 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.grammar import format_options, on_off, parse_options
+
+#: spec key -> (field, cast) for :meth:`ShardingConfig.parse`.
+_KEYS = {"shards": ("shards", int), "partial": ("allow_partial", on_off)}
+
+
+def _shard_count(token: str) -> dict:
+    try:
+        return {"shards": int(token)}
+    except ValueError:
+        raise ValueError(f"bad shard count {token!r}; expected an integer") from None
+
 
 @dataclass(frozen=True)
 class ShardingConfig:
@@ -49,36 +61,11 @@ class ShardingConfig:
         count; ``partial=on/off`` controls partial-result semantics.
         ``"shards=4"`` is accepted too.
         """
-        kwargs: dict = {}
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                try:
-                    kwargs["shards"] = int(part)
-                except ValueError:
-                    raise ValueError(
-                        f"bad shard count {part!r}; expected an integer"
-                    )
-                continue
-            key, _, value = part.partition("=")
-            if key == "shards":
-                kwargs["shards"] = int(value)
-            elif key == "partial":
-                if value not in ("on", "off"):
-                    raise ValueError("partial must be 'on' or 'off'")
-                kwargs["allow_partial"] = value == "on"
-            else:
-                raise ValueError(
-                    f"unknown sharding spec key {key!r}; "
-                    "known: shards, partial"
-                )
-        return cls(**kwargs)
+        return cls(**parse_options(text, "sharding", _KEYS, _shard_count))
 
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""
-        parts = [str(self.shards)]
-        if not self.allow_partial:
-            parts.append("partial=off")
-        return ",".join(parts)
+        return format_options(self, _KEYS, head="shards", skip_defaults=True)
 
 
 def shard_bounds(total: int, shards: int) -> List[Tuple[int, int]]:

@@ -46,14 +46,30 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.grammar import format_value
+from repro.grammar import format_value, parse_options
 
 #: Queue depth below which weighted-fair shedding never engages.
 DEFAULT_FAIR_DEPTH = 64
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
+
+#: spec key -> (field, cast) of a tenant's options after its head.
+_KEYS = {
+    "slo": ("slo_ms", float),
+    "canary": ("canary_fraction", float),
+    "burst": ("burst", float),
+    "rollout": ("rollout_at_s", float),
+}
+
+
+def _shadow(token: str) -> dict:
+    if token != "shadow":
+        raise ValueError(
+            f"bad tenant spec item {token!r}; expected shadow or key=value"
+        )
+    return {"shadow": True}
 
 
 @dataclass(frozen=True)
@@ -121,38 +137,9 @@ class TenantConfig:
             raise ValueError(
                 f"tenant {name.strip()!r}: weight {weight_text!r} is not a number"
             ) from None
-        fields: Dict[str, object] = {
-            "name": name.strip(),
-            "model": model.strip(),
-            "weight": weight,
-        }
-        for option in filter(None, (o.strip() for o in options.split(","))):
-            key, has_value, value = option.partition("=")
-            key = key.strip().lower()
-            try:
-                if key == "shadow" and not has_value:
-                    fields["shadow"] = True
-                elif key == "slo":
-                    fields["slo_ms"] = float(value)
-                elif key == "canary":
-                    fields["canary_fraction"] = float(value)
-                elif key == "burst":
-                    fields["burst"] = float(value)
-                elif key == "rollout":
-                    fields["rollout_at_s"] = float(value)
-                else:
-                    raise ValueError(
-                        f"unknown tenant option {option!r} "
-                        "(expected slo=MS, shadow, canary=FRAC, burst=F, "
-                        "rollout=T)"
-                    )
-            except ValueError as error:
-                if "unknown tenant option" in str(error):
-                    raise
-                raise ValueError(
-                    f"tenant option {option!r}: value is not a number"
-                ) from None
-        return cls(**fields)
+        # Option keys are case-insensitive, and every value is a number.
+        fields = parse_options(options.lower(), "tenant", _KEYS, _shadow)
+        return cls(name.strip(), model.strip(), weight, **fields)
 
     def spec_string(self) -> str:
         """Canonical segment accepted back by :meth:`parse`."""

@@ -185,8 +185,8 @@ CACHE_ERROR = "unknown cache policy 'bogus'; choose from lru, lfu, segmented"
 SHARDS_ERROR = "bad shard count 'x'; expected an integer"
 RETRIEVAL_ERROR = "unknown retrieval kind 'hnsw'; expected one of exact, ivf"
 SCHEDULER_ERROR = (
-    "unknown scheduler option 'pods=3'; expected key=value with keys cpu, "
-    "instance, short, slack, batch, linger, tune, epoch, target, q, tol"
+    "unknown scheduler spec key 'pods'; known: ['batch', 'cpu', 'epoch', "
+    "'instance', 'linger', 'q', 'short', 'slack', 'target', 'tol', 'tune']"
 )
 TENANTS_ERROR = (
     "fleet segment 'bogus' is neither a tenant (name=model:weight) nor a "

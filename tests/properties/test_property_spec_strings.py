@@ -4,22 +4,26 @@ Spec files persist ``spec_string()`` and the CLI re-parses it, so a
 written spec must read back as the same experiment. The property runs
 over every finite float and over integers past ``1e6``: the shared
 formatter (``repro.grammar.format_value``) writes integers in full and
-floats with every digit they need.
+floats with every digit they need. The chaos schedule's property, over
+every event kind, is in ``tests/cluster/test_chaos_roundtrip.py``.
 """
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.ann.config import RetrievalConfig
 from repro.cache.policy import POLICIES
 from repro.cache.tier import CacheConfig
 from repro.cluster.routing import DISCIPLINES as ROUTING_DISCIPLINES
 from repro.cluster.routing import RoutingPolicy
+from repro.exec.config import BackendConfig
 from repro.grammar import format_value
 from repro.loadgen.retry import RetryPolicy
 from repro.scheduler.config import SchedulerConfig
 from repro.serving.admission import DISCIPLINES as ADMISSION_DISCIPLINES
 from repro.serving.admission import AdmissionPolicy
 from repro.serving.fallback import FallbackConfig
+from repro.sharding.config import ShardingConfig
 from repro.tenancy.config import TenancyConfig, TenantConfig
 
 
@@ -59,6 +63,20 @@ cache = st.builds(
 )
 fallback = st.builds(
     FallbackConfig, budget_s=positive, top_k=st.integers(1, 10**12)
+)
+sharding = st.builds(
+    ShardingConfig, shards=st.integers(1, 10**12), allow_partial=st.booleans()
+)
+# The exact scan carries no index knobs: only its default form reads back.
+retrieval = st.just(RetrievalConfig()) | st.builds(
+    RetrievalConfig,
+    kind=st.just("ivf"),
+    nlist=st.one_of(st.none(), st.integers(1, 10**12)),
+    nprobe=st.integers(1, 10**12),
+)
+# Every serial config is written ``serial``, which reads back with 0 workers.
+backend = st.just(BackendConfig("serial", 0)) | st.builds(
+    BackendConfig, kind=st.just("mp"), workers=counts
 )
 
 
@@ -122,10 +140,17 @@ def tenancy(draw):
 
 
 class TestSpecStringRoundTrip:
-    @given(config=st.one_of(routing, admission, cache, fallback, retry()))
-    @settings(max_examples=400, deadline=None)
+    @given(config=st.one_of(
+        routing, admission, cache, fallback, retry(), sharding, retrieval,
+        backend,
+    ))
+    @settings(max_examples=600, deadline=None)
     def test_key_value_configs(self, config):
         assert type(config).parse(config.spec_string()) == config
+
+    def test_every_serial_backend_is_written_serial(self):
+        for workers in (0, 1):
+            assert BackendConfig("serial", workers).spec_string() == "serial"
 
     @given(config=scheduler)
     @settings(max_examples=200, deadline=None)
