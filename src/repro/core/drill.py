@@ -15,6 +15,7 @@ Used by the ``repro drill`` CLI command, the planner's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
@@ -177,21 +178,26 @@ def run_failure_drill(
     availability = result.availability or {}
     started = availability.get("load_started_at_s") or 0.0
     outage_abs = started + outage_at_s
+    end_abs = started + spec.duration_s
     ttr = availability.get("time_to_recovery_s")
     # The "after" window opens once the zone is measurably back (pod
     # readiness, not the restart trigger — kubelet boot time is real)
     # plus the JIT re-warmup margin; a zone that never comes back leaves
     # no after window.
     if ttr is not None:
-        back_abs = outage_abs + ttr + RECOVERY_MARGIN_S
+        back_abs = math.floor(outage_abs + ttr + RECOVERY_MARGIN_S)
     elif restart_after_s is not None:
-        back_abs = outage_abs + restart_after_s + RECOVERY_MARGIN_S
+        back_abs = math.floor(outage_abs + restart_after_s + RECOVERY_MARGIN_S)
     else:
-        back_abs = started + spec.duration_s
+        back_abs = end_abs
+    # A series bucket holds the requests sent in one whole second, so it
+    # belongs to the window its second starts in: the outage's own second
+    # counts as "during", and the load's first second as "before".
+    outage_s = math.floor(outage_abs)
     series = result.series
-    before = _window("before", series, started, outage_abs)
-    during = _window("during", series, outage_abs, back_abs)
-    after = _window("after", series, back_abs, started + spec.duration_s)
+    before = _window("before", series, math.floor(started), outage_s)
+    during = _window("during", series, outage_s, back_abs)
+    after = _window("after", series, back_abs, end_abs)
 
     sharding = result.sharding or {}
     min_coverage = float(sharding.get("min_coverage", 1.0))

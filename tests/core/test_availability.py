@@ -158,6 +158,20 @@ class TestFailureDrill:
         with pytest.raises(ValueError, match="inside the run"):
             run_failure_drill(spec(zones=2), outage_at_s=100.0)
 
+    def test_outage_second_counts_as_during(self):
+        """A series bucket holds the sends of one whole second, so the
+        bucket the outage fires in is "during": its error counts against
+        survival, not before the outage. Here the load starts at 72.26 s
+        and the outage fires at 74.26 s."""
+        report = run_failure_drill(
+            ExperimentSpec(
+                "gru4rec", 2_000, 100, HardwareSpec("GPU-T4", 2),
+                duration_s=6.0, zones=2,
+            )
+        )
+        assert report.before.errors == 0
+        assert report.during.errors == 1
+
 
 class TestPlannerSurviveZones:
     """--survive-zones buys availability with replicas and proves it
