@@ -205,6 +205,24 @@ class TestSegmented:
         assert "a" in policy._main
         assert policy.get("a", 1.0) == 1
 
+    def test_full_main_evicts_fifo_with_a_second_chance(self):
+        policy = SegmentedPolicy(10)  # small=1, main=9
+        keys = [f"k{index}" for index in range(11)]
+
+        def promote(key):
+            # Read while probationary: the next put moves it to main.
+            policy.put(key, key, 0.0)
+            policy.get(key, 0.0)
+
+        for key in keys[:10]:
+            promote(key)
+        policy.get("k0", 1.0)  # k0 earns a second chance in main
+        promote("k10")  # k9 joins a full main: its FIFO head must go
+        assert list(policy._main) == keys[2:10] + ["k0"]
+        assert policy.evictions == 1
+        assert policy.get("k1", 2.0) is MISSING
+        assert policy.get("k0", 2.0) == "k0"
+
 
 class TestMakePolicy:
     def test_unknown_name_rejected(self):
