@@ -16,9 +16,9 @@ request through one method and picks each process's dequeue once.
 Hypothesis draws programs on a grid of 2**-10 s (about 1 ms), so every
 sum of grid times is an exact float and ties are common: simultaneous
 arrivals, completions and linger deadlines on an arrival instant,
-crashes inside a linger window, deadline and CoDel shedding on both
-paths, and clients that answer a response with a new request inside
-the same event. The jitter is a fixed cycle of multipliers. After every
+crashes inside a linger window, deadline and CoDel shedding and LIFO
+order on both paths, and clients that answer a response with a new
+request inside the same event. The jitter is a fixed cycle of multipliers. After every
 ``run(until=...)`` step both servers must show the same responses (id,
 status and the ``repr`` of every time), the same counters and the same
 ``pending_events``; once drained, the same access log.
@@ -65,10 +65,12 @@ programs = st.fixed_dictionaries(
             min_size=1,
             max_size=24,
         ),
-        # Discipline, slack, and the CoDel target and interval, in slots.
+        # Discipline, slack, the CoDel target and interval in slots, and
+        # the queue depth above which LIFO serves the newest first.
         "admission": st.none() | st.tuples(
             st.sampled_from(["fifo", "lifo", "codel"]),
             st.integers(0, 2), st.integers(1, 3), st.integers(1, 4),
+            st.integers(0, 3),
         ),
         "crash": st.none() | st.tuples(slots, st.integers(1, 8)),
         # Responses the client answers at once with a new request.
@@ -85,10 +87,11 @@ def execute(side, device, program):
     sim = simulator_cls()
     admission = None
     if program["admission"] is not None:
-        discipline, slack, target, interval = program["admission"]
+        discipline, slack, target, interval, depth = program["admission"]
         admission = AdmissionPolicy(
             discipline=discipline, slack_s=slack * GRID,
             codel_target_s=target * GRID, codel_interval_s=interval * GRID,
+            lifo_threshold=depth,
         )
     server = server_cls(
         sim,
@@ -226,7 +229,7 @@ def test_shed_at_a_linger_deadline_answered_at_once():
     program = dict(
         fixed=1, per_item=1, overhead=0, jitter=[1.0], workers=1,
         max_batch=3, max_delay=2, arrivals=[(0, None), (2, 0)],
-        admission=("fifo", 0, 1, 1), crash=None, followups=1, steps=[],
+        admission=("fifo", 0, 1, 1, 64), crash=None, followups=1, steps=[],
     )
     log = assert_sides_match(GPU_T4_DEVICE, program)
     # The 503, then the first arrival and the follow-up in one batch.
@@ -242,7 +245,7 @@ def test_codel_sheds_a_cpu_backlog():
     program = dict(
         fixed=2, per_item=1, overhead=0, jitter=[1.0], workers=1,
         max_batch=1, max_delay=0, arrivals=[(0, None)] * 8,
-        admission=("codel", 0, 1, 2), crash=None, followups=0, steps=[3, 9],
+        admission=("codel", 0, 1, 2, 64), crash=None, followups=0, steps=[3, 9],
     )
     log = assert_sides_match(CPU_E2_DEVICE, program)
     statuses = [entry[2] for entry in log if entry[0] == "response"]
