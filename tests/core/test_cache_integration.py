@@ -1,13 +1,12 @@
-"""The recommendation cache end to end: spec wiring, singleflight
-coalescing on the GPU batch path, hit correctness against the real
-model, and the measurable win on a high-skew workload."""
+"""The recommendation cache end to end: singleflight coalescing on the
+GPU batch path, hit correctness against the real model, and the
+measurable win on a high-skew workload."""
 
 import numpy as np
 import pytest
 
 from repro.cache import CacheConfig
 from repro.core import ExperimentRunner, ExperimentSpec, HardwareSpec
-from repro.core.specfile import spec_from_dict, spec_to_dict
 from repro.hardware import CPU_E2, GPU_T4, LatencyModel
 from repro.models import ModelConfig, create_model
 from repro.serving import BatchingConfig, EtudeInferenceServer
@@ -42,24 +41,6 @@ def make_request(request_id, session_items, now=0.0):
         session_items=np.asarray(session_items, dtype=np.int64),
         sent_at=now,
     )
-
-
-class TestSpecWiring:
-    def test_string_spec_coerces_to_config(self):
-        s = spec(cache="lfu,capacity=512,window=4")
-        assert isinstance(s.cache, CacheConfig)
-        assert s.cache.policy == "lfu"
-        assert s.cache.capacity == 512
-
-    def test_specfile_round_trip(self):
-        s = spec(cache="segmented,capacity=2048,ttl=30,remote=65536")
-        document = spec_to_dict(s)
-        assert isinstance(document["cache"], str)
-        restored, _slo = spec_from_dict(document)
-        assert restored.cache == s.cache
-
-    def test_specfile_omits_unset_cache(self):
-        assert "cache" not in spec_to_dict(spec())
 
 
 class TestSingleflightCoalescing:

@@ -1,4 +1,4 @@
-"""Overload protection end to end: spec wiring, the disabled-path
+"""Overload protection end to end: the deadline check, the disabled-path
 determinism contract, collapse-vs-degrade under sustained overload, and
 the circuit breaker under crash-storm chaos."""
 
@@ -7,7 +7,6 @@ import pytest
 from repro.cluster import RoutingPolicy
 from repro.core import ExperimentRunner, ExperimentSpec, HardwareSpec
 from repro.core.infra_test import run_infra_test
-from repro.core.specfile import spec_from_dict, spec_to_dict
 from repro.serving import AdmissionPolicy, FallbackConfig
 
 
@@ -21,44 +20,9 @@ def spec(**overrides):
 
 
 class TestSpecWiring:
-    def test_string_specs_coerce_to_objects(self):
-        s = spec(
-            slo_deadline_s=0.05,
-            admission="codel,slack=0.01",
-            routing="lor,eject=3",
-            fallback="budget=0.001",
-        )
-        assert isinstance(s.admission, AdmissionPolicy)
-        assert s.admission.discipline == "codel"
-        assert isinstance(s.routing, RoutingPolicy)
-        assert s.routing.eject_after == 3
-        assert isinstance(s.fallback, FallbackConfig)
-        assert s.fallback.budget_s == 0.001
-
     def test_invalid_deadline_rejected(self):
         with pytest.raises(ValueError):
             spec(slo_deadline_s=0.0)
-
-    def test_specfile_round_trip(self):
-        s = spec(
-            slo_deadline_s=0.05,
-            admission="lifo,slack=0.005,depth=128",
-            routing="rr,eject=5,cooldown=30,lag=2",
-            fallback="budget=0.003,topk=10",
-        )
-        document = spec_to_dict(s)
-        assert document["slo_deadline_s"] == 0.05
-        assert isinstance(document["admission"], str)
-        restored, _slo = spec_from_dict(document)
-        assert restored.slo_deadline_s == s.slo_deadline_s
-        assert restored.admission == s.admission
-        assert restored.routing == s.routing
-        assert restored.fallback == s.fallback
-
-    def test_specfile_omits_unset_overload(self):
-        document = spec_to_dict(spec())
-        for key in ("slo_deadline_s", "admission", "routing", "fallback"):
-            assert key not in document
 
 
 class TestDisabledOverloadDeterminism:
