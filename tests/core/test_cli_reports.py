@@ -72,7 +72,7 @@ class TestRunReport:
         written = int(re.search(rf"wrote ({N}) spans", text).group(1))
         spans = json.loads(trace_out.read_text())["spans"]
         assert len(spans) == written
-        # A hedged request settles both of its calls' spans.
+        # A hedged request finishes its open hedge span when it settles.
         assert any(span["attrs"].get("hedged") for span in spans)
         assert [span for span in spans if span["end"] is None] == []
 
