@@ -465,7 +465,8 @@ def _make_telemetry(args):
             raise SystemExit(f"cannot write --trace-out {trace_out!r}: {error}")
     from repro.obs import Telemetry
 
-    return Telemetry()
+    # Only the JSON dump reads span rows; the breakdown reads the stage log.
+    return Telemetry(keep_spans=bool(trace_out))
 
 
 def _emit_telemetry(telemetry, out, trace_out: Optional[str]) -> None:

@@ -20,7 +20,8 @@ from typing import Any, Callable, Mapping, Optional, Tuple, Union
 from repro.ann.config import RetrievalConfig
 from repro.cache.tier import CacheConfig
 from repro.scheduler.config import SchedulerConfig
-from repro.cluster.chaos import ChaosSchedule
+from repro.cluster.chaos import ChaosSchedule, ZoneOutage
+from repro.cluster.kubernetes import zone_name
 from repro.cluster.routing import RoutingPolicy
 from repro.loadgen.retry import RetryPolicy
 from repro.serving.admission import AdmissionPolicy
@@ -134,11 +135,26 @@ class ExperimentSpec:
             object.__setattr__(self, feature.field, value)
         if self.zones < 1:
             raise ValueError("zones must be >= 1")
+        if self.chaos is not None:
+            self._check_outage_zones()
         if self.slo_deadline_s is not None and self.slo_deadline_s <= 0:
             raise ValueError("slo_deadline_s must be positive")
         conflict = first_conflict(vars(self))
         if conflict is not None:
             raise ValueError(conflict)
+
+    def _check_outage_zones(self) -> None:
+        """Every zone outage must name a zone the deployment places pods
+        in: ``z0`` .. ``z{zones-1}``, and none when ``zones == 1``."""
+        placed = (
+            [zone_name(index) for index in range(self.zones)] if self.zones > 1 else []
+        )
+        for event in self.chaos.events:
+            if isinstance(event, ZoneOutage) and event.zone not in placed:
+                raise ValueError(
+                    f"zone outage names zone {event.zone!r}, but the spec places "
+                    f"pods in {', '.join(placed) or 'no zone'} (zones={self.zones})"
+                )
 
     def workload_statistics(self) -> WorkloadStatistics:
         """The provided statistics, or the bol.com-like defaults."""

@@ -7,7 +7,9 @@ the operator's guide):
 - :class:`~repro.obs.trace.Trace` / :class:`~repro.obs.trace.Span` — a
   lightweight span tracer over the simulator's virtual clock, following
   each request through ``sent → queued → batch_assembled → inference →
-  http_respond`` with parent/child links and a shared ``batch_id``;
+  http_respond`` with parent/child links and a shared ``batch_id``; it
+  always keeps the compact stage log the breakdown reads, and the span
+  rows only with ``keep_spans=True``;
 - :class:`~repro.obs.registry.MetricRegistry` with Prometheus-style
   :class:`~repro.obs.registry.Counter`, :class:`~repro.obs.registry.Gauge`
   and :class:`~repro.obs.registry.Histogram` instruments;
@@ -41,10 +43,11 @@ from repro.obs.export import (
 from repro.obs.registry import Counter, Gauge, Histogram, MetricRegistry, metric_key
 from repro.obs.sampler import Sampler
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import Span, Trace
+from repro.obs.trace import Span, SpanRowsNotKept, Trace
 
 __all__ = [
     "Span",
+    "SpanRowsNotKept",
     "Trace",
     "Counter",
     "Gauge",

@@ -19,22 +19,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
+from math import isnan
 from typing import Any, Dict, List, Optional
 
 from repro.metrics.percentile import LatencyDigest
 from repro.obs.sampler import Sampler
-from repro.obs.trace import Trace
+from repro.obs.trace import STAGE_ORDER, Trace
 
-#: Stage spans in pipeline order, with display labels.
-STAGE_ORDER = (
-    "sent",
-    "shard_fanout",
-    "shard_merge",
-    "queued",
-    "batch_assembled",
-    "inference",
-    "http_respond",
-)
+#: Display label of each stage span.
 STAGE_LABELS = {
     "sent": "network (send)",
     "shard_fanout": "shard fan-out",
@@ -44,9 +37,6 @@ STAGE_LABELS = {
     "inference": "inference",
     "http_respond": "http",
 }
-#: Root-span name marking one end-to-end request.
-ROOT_SPAN = "request"
-HTTP_OK = 200
 
 
 def _jsonable(value: Any):
@@ -56,7 +46,10 @@ def _jsonable(value: Any):
 
 
 def trace_to_json(trace: Trace, indent: Optional[int] = None) -> str:
-    """Serialize every recorded span (open spans have ``end: null``)."""
+    """Serialize every recorded span (open spans have ``end: null``).
+
+    Needs the span rows: the trace must be built with ``keep_spans=True``.
+    """
     rows = zip(
         trace.names, trace.trace_ids, trace.parent_ids,
         trace.starts, trace.ends, trace.attrs,
@@ -146,27 +139,32 @@ def stage_breakdown(trace: Trace) -> Optional[BreakdownReport]:
     response-direction network hop) is reported as ``other``. By
     construction the stage rows plus ``other`` sum to exactly the
     end-to-end total.
+
+    Reads only the trace's stage log, so it works whether or not the
+    trace keeps span rows. The log is grouped by trace, the traces in the
+    order their roots were recorded and each trace's spans in recording
+    order, so every sum is taken in that order.
     """
-    names, starts, ends, attrs = trace.names, trace.starts, trace.ends, trace.attrs
-    durations: Dict[str, List[float]] = {name: [] for name in STAGE_ORDER}
+    log = trace.stage_log
+    ordinals, codes, starts, ends = log.ordinals, log.codes, log.starts, log.ends
+    durations: List[List[float]] = [[] for _ in STAGE_ORDER]
     other: List[float] = []
     e2e: List[float] = []
 
-    for rows in trace.rows_by_trace(root=ROOT_SPAN).values():
-        root = rows[0]
-        if ends[root] is None:
-            continue
-        root_attrs = attrs[root]
-        if root_attrs is not None and root_attrs.get("status", HTTP_OK) != HTTP_OK:
+    # A stable sort: each trace's entries keep their log order, and a
+    # trace's root comes first because it opened the trace.
+    by_trace = sorted(range(len(codes)), key=ordinals.__getitem__)
+    for ordinal, entries in groupby(by_trace, key=ordinals.__getitem__):
+        root = next(entries)
+        if isnan(ends[root]) or not log.ok[ordinal]:
             continue
         total = (ends[root] - starts[root]) or 0.0
         e2e.append(total)
         covered = 0.0
-        for row in rows[1:]:
-            stage = durations.get(names[row])
-            if stage is not None and ends[row] is not None:
-                duration = (ends[row] - starts[row]) or 0.0
-                stage.append(duration)
+        for entry in entries:
+            if not isnan(ends[entry]):
+                duration = (ends[entry] - starts[entry]) or 0.0
+                durations[codes[entry] - 1].append(duration)
                 covered += duration
         other.append(max(total - covered, 0.0))
 
@@ -176,12 +174,9 @@ def stage_breakdown(trace: Trace) -> Optional[BreakdownReport]:
     e2e_digest = LatencyDigest.from_values(e2e)
     total_e2e = e2e_digest.mean() * len(e2e_digest)
     stages = [
-        _stats(
-            name, STAGE_LABELS[name], LatencyDigest.from_values(durations[name]),
-            total_e2e,
-        )
-        for name in STAGE_ORDER
-        if durations[name]
+        _stats(name, STAGE_LABELS[name], LatencyDigest.from_values(values), total_e2e)
+        for name, values in zip(STAGE_ORDER, durations)
+        if values
     ]
     stages.append(
         _stats("other", "other (respond)", LatencyDigest.from_values(other), total_e2e)

@@ -20,7 +20,7 @@ fully qualified key renders Prometheus-style: ``name{label="value"}``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.percentile import LatencyDigest
 
@@ -194,9 +194,6 @@ class MetricRegistry:
 
     def __len__(self) -> int:
         return len(self._instruments)
-
-    def __iter__(self) -> Iterator[Instrument]:
-        return iter(self._instruments.values())
 
     def get(self, name: str, labels: Optional[Dict[str, str]] = None) -> Optional[Instrument]:
         return self._instruments.get(metric_key(name, labels))

@@ -3,7 +3,9 @@
 One :class:`Telemetry` object bundles the three observability primitives
 for a single run:
 
-- ``trace`` — the :class:`~repro.obs.trace.Trace` span recorder;
+- ``trace`` — the :class:`~repro.obs.trace.Trace` span recorder, which
+  keeps only the stage log unless ``keep_spans=True`` asks for the span
+  rows too (needed by ``trace_to_json`` and the row queries);
 - ``metrics`` — the :class:`~repro.obs.registry.MetricRegistry`;
 - ``sampler`` — the periodic gauge :class:`~repro.obs.sampler.Sampler`
   (created when the telemetry is bound to a simulator).
@@ -34,9 +36,9 @@ from repro.simulation import Simulator
 class Telemetry:
     """Per-run observability bundle: trace + metrics + sampler."""
 
-    def __init__(self, sample_interval_s: float = 1.0):
+    def __init__(self, sample_interval_s: float = 1.0, keep_spans: bool = False):
         self.metrics = MetricRegistry()
-        self.trace = Trace(clock=self.now)
+        self.trace = Trace(clock=self.now, keep_spans=keep_spans)
         self.sampler: Optional[Sampler] = None
         self.sample_interval_s = sample_interval_s
         self._simulator: Optional[Simulator] = None
@@ -67,7 +69,12 @@ class Telemetry:
 
     @classmethod
     def for_simulator(
-        cls, simulator: Simulator, sample_interval_s: float = 1.0
+        cls,
+        simulator: Simulator,
+        sample_interval_s: float = 1.0,
+        keep_spans: bool = False,
     ) -> "Telemetry":
         """Convenience: construct and bind in one step."""
-        return cls(sample_interval_s=sample_interval_s).bind(simulator)
+        return cls(sample_interval_s=sample_interval_s, keep_spans=keep_spans).bind(
+            simulator
+        )

@@ -18,13 +18,24 @@ Span model (see ``docs/observability.md`` for the full contract):
 - attributes carry the cross-cutting identifiers, most importantly
   ``batch_id``: every request flushed in one GPU batch shares it.
 
-Storage is columnar: the trace keeps one list per field (``names``,
-``trace_ids``, ``parent_ids``, ``starts``, ``ends``, ``attrs``), a span
-is one row, and its span id is the row index. A span without attributes
-stores ``None`` instead of an empty dict. A :class:`Span` is a handle
-(trace, row) whose properties read and write that row, so recording a
-span allocates no per-span object that outlives the call. Values are
-stored as given: an ``int`` time stays an ``int`` in the JSON dump.
+Storage comes in two parts:
+
+- the **stage log** (:class:`StageLog`), always kept: typed arrays with
+  one entry per span the stage breakdown reads (each request root and
+  each :data:`STAGE_ORDER` span of a trace whose first span is
+  ``request``), plus each request root's status;
+- the **span rows**, kept only with ``keep_spans=True`` (the default of a
+  bare ``Trace()``): one list per field (``names``, ``trace_ids``,
+  ``parent_ids``, ``starts``, ``ends``, ``attrs``), a span is one row,
+  and its span id is the row index. A span without attributes stores
+  ``None`` instead of an empty dict. A :class:`Span` is a handle (trace,
+  row) whose properties read and write that row. Values are stored as
+  given: an ``int`` time stays an ``int`` in the JSON dump.
+
+A trace built with ``keep_spans=False`` keeps only the log, a map from
+trace id to log ordinal, and the span count: ``begin`` returns a handle
+that can only be finished and given attributes, ``record`` returns
+None, and every row query raises :class:`SpanRowsNotKept`.
 
 Spans can be driven three ways:
 
@@ -53,12 +64,81 @@ HTTP components without changing the simulation's event sequence.
 
 from __future__ import annotations
 
+import math
+from array import array
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+
+#: Root-span name marking one end-to-end request.
+ROOT_SPAN = "request"
+#: Stage spans in pipeline order: with the root, what the stage log keeps.
+STAGE_ORDER = (
+    "sent",
+    "shard_fanout",
+    "shard_merge",
+    "queued",
+    "batch_assembled",
+    "inference",
+    "http_respond",
+)
+HTTP_OK = 200
+#: Stage code of a logged root; ``STAGE_ORDER[i]`` logs as ``i + 1``.
+ROOT_CODE = 0
+_STAGE_CODES = {name: code for code, name in enumerate(STAGE_ORDER, 1)}
+#: The logged end of a span still open.
+OPEN = math.nan
+#: What only a trace built with ``keep_spans=True`` has.
+_ROW_ATTRIBUTES = frozenset(
+    ("names", "trace_ids", "parent_ids", "starts", "ends", "attrs", "_roots", "_entries")
+)
 
 
 def _zero_clock() -> float:
     return 0.0
+
+
+def _status_ok(attrs: Dict[str, Any]) -> bool:
+    """Whether a root with these attributes counts as a successful
+    request: no ``status``, or one that does not differ from 200."""
+    return not attrs.get("status", HTTP_OK) != HTTP_OK
+
+
+class SpanRowsNotKept(RuntimeError):
+    """A row query on a trace built with ``keep_spans=False``."""
+
+
+class StageLog:
+    """The spans the stage breakdown reads, in recording order.
+
+    Entry ``i`` is one span across four typed columns: ``ordinals[i]``,
+    its trace's rank among request traces in the order their roots were
+    recorded; ``codes[i]``, :data:`ROOT_CODE` for the root or ``j + 1``
+    for ``STAGE_ORDER[j]``; ``starts[i]``; and ``ends[i]``, set by the
+    span's first finish (:data:`OPEN`, a NaN, until then). ``ok[k]`` is 1
+    while request trace ``k``'s root has no ``status`` attribute or
+    status 200, as the last ``set`` or ``finish`` left it. An entry keeps
+    no Python object: 25 bytes.
+    """
+
+    __slots__ = ("ordinals", "codes", "starts", "ends", "ok")
+
+    def __init__(self):
+        self.ordinals = array("q")
+        self.codes = array("b")
+        self.starts = array("d")
+        self.ends = array("d")
+        self.ok = array("b")
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def append(self, ordinal: int, code: int, start: float, end: float) -> int:
+        """Log one span; returns its entry."""
+        self.ordinals.append(ordinal)
+        self.codes.append(code)
+        self.starts.append(start)
+        self.ends.append(end)
+        return len(self.codes) - 1
 
 
 class Span:
@@ -66,7 +146,8 @@ class Span:
 
     Two handles on the same row compare equal. ``attrs`` is the stored
     dict (created on first access when the span has none), so mutating
-    it changes the span.
+    it changes the span, but not the stage log: a root's status reaches
+    the stage breakdown only through :meth:`set` and :meth:`finish`.
     """
 
     __slots__ = ("trace", "span_id")
@@ -117,16 +198,24 @@ class Span:
 
     def set(self, **attrs: Any) -> "Span":
         if attrs:
-            self.trace._merge_attrs(self.span_id, attrs)
+            trace = self.trace
+            trace._merge_attrs(self.span_id, attrs)
+            trace._note_status(trace._entries[self.span_id], attrs)
         return self
 
     def finish(self, at: Optional[float] = None, **attrs: Any) -> "Span":
         """Close the span (idempotent); ``at`` overrides the clock."""
         trace = self.trace
+        row = self.span_id
+        entry = trace._entries[row]
         if attrs:
-            trace._merge_attrs(self.span_id, attrs)
-        if trace.ends[self.span_id] is None:
-            trace.ends[self.span_id] = trace.clock() if at is None else at
+            trace._merge_attrs(row, attrs)
+            trace._note_status(entry, attrs)
+        ends = trace.ends
+        if ends[row] is None:
+            end = ends[row] = trace.clock() if at is None else at
+            if entry >= 0:
+                trace.stage_log.ends[entry] = end
         return self
 
     def to_dict(self) -> Dict[str, Any]:
@@ -156,32 +245,99 @@ class Span:
         )
 
 
+class LoggedSpan:
+    """The handle ``begin`` returns for a logged span of a trace without
+    rows: it can only be finished and given attributes, which the log
+    keeps as its end and, for a root, its status."""
+
+    __slots__ = ("trace", "entry")
+
+    def __init__(self, trace: "Trace", entry: int):
+        self.trace = trace
+        self.entry = entry
+
+    def set(self, **attrs: Any) -> "LoggedSpan":
+        if attrs:
+            self.trace._note_status(self.entry, attrs)
+        return self
+
+    def finish(self, at: Optional[float] = None, **attrs: Any) -> "LoggedSpan":
+        """Close the span (idempotent); ``at`` overrides the clock."""
+        trace = self.trace
+        if attrs:
+            trace._note_status(self.entry, attrs)
+        ends = trace.stage_log.ends
+        if math.isnan(ends[self.entry]):
+            ends[self.entry] = trace.clock() if at is None else at
+        return self
+
+
+class UnloggedSpan:
+    """The handle ``begin`` returns for a span that a trace without rows
+    does not keep: finishing it or setting attributes does nothing. All
+    such spans share one instance, :data:`UNLOGGED`."""
+
+    __slots__ = ()
+
+    def set(self, **attrs: Any) -> "UnloggedSpan":
+        return self
+
+    def finish(self, at: Optional[float] = None, **attrs: Any) -> "UnloggedSpan":
+        return self
+
+
+UNLOGGED = UnloggedSpan()
+
+AnySpan = Union[Span, LoggedSpan, UnloggedSpan]
+
+
 class Trace:
     """An append-only span recorder bound to a virtual clock.
 
-    One list per span field; row ``i`` of every list is span id ``i``.
-    Read the columns freely, but append only through :meth:`begin` and
-    :meth:`record`.
+    The stage log (``stage_log``) is kept in every mode. With
+    ``keep_spans=True`` the trace also keeps one list per span field;
+    row ``i`` of every list is span id ``i``. Read the columns freely,
+    but append only through :meth:`begin` and :meth:`record`.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
+    def __init__(
+        self, clock: Optional[Callable[[], float]] = None, keep_spans: bool = True
+    ):
         self.clock = clock or _zero_clock
-        self.names: List[str] = []
-        self.trace_ids: List[int] = []
-        self.parent_ids: List[Optional[int]] = []
-        self.starts: List[float] = []
-        self.ends: List[Optional[float]] = []
-        #: Each span's attributes, ``None`` for a span that has none.
-        self.attrs: List[Optional[Dict[str, Any]]] = []
-        self._roots: Dict[int, Span] = {}
+        self.keep_spans = keep_spans
+        self.stage_log = StageLog()
+        #: Trace id -> the trace's ordinal in the stage log, or -1 for a
+        #: trace whose first span is not ``request``.
+        self._ordinals: Dict[int, int] = {}
+        self._count = 0
+        if keep_spans:
+            self.names: List[str] = []
+            self.trace_ids: List[int] = []
+            self.parent_ids: List[Optional[int]] = []
+            self.starts: List[float] = []
+            self.ends: List[Optional[float]] = []
+            #: Each span's attributes, ``None`` for a span that has none.
+            self.attrs: List[Optional[Dict[str, Any]]] = []
+            self._roots: Dict[int, Span] = {}
+            #: Each row's stage-log entry, or -1 for a span not logged.
+            self._entries = array("q")
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for attributes the instance lacks.
+        if name in _ROW_ATTRIBUTES:
+            raise SpanRowsNotKept(
+                "this trace keeps no span rows; build it with keep_spans=True "
+                "(the CLI does for --trace-out)"
+            )
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __len__(self) -> int:
-        return len(self.names)
+        return self._count
 
     @property
     def trace_count(self) -> int:
         """How many distinct trace ids have a span."""
-        return len(self._roots)
+        return len(self._ordinals)
 
     # -- recording ----------------------------------------------------------
 
@@ -192,10 +348,14 @@ class Trace:
         parent: Optional[Span] = None,
         at: Optional[float] = None,
         **attrs: Any,
-    ) -> Span:
+    ) -> AnySpan:
         """Open a span. Without an explicit ``parent``, the span becomes a
         child of the first span recorded for ``trace_id`` (the root), or
         the root itself when none exists yet."""
+        start = self.clock() if at is None else at
+        entry = self._log(name, trace_id, start, OPEN, attrs)
+        if not self.keep_spans:
+            return UNLOGGED if entry < 0 else LoggedSpan(self, entry)
         root = self._roots.get(trace_id)
         if parent is not None:
             parent_id: Optional[int] = parent.span_id
@@ -204,41 +364,84 @@ class Trace:
         else:
             parent_id = None
         span = Span(self, len(self.names))
-        self.names.append(name)
-        self.trace_ids.append(trace_id)
-        self.parent_ids.append(parent_id)
-        self.starts.append(self.clock() if at is None else at)
-        self.ends.append(None)
-        self.attrs.append(attrs or None)
+        self._append(name, trace_id, parent_id, start, None, attrs, entry)
         if root is None:
             self._roots[trace_id] = span
         return span
 
     def record(
         self, name: str, trace_id: int, start: float, end: float, **attrs: Any
-    ) -> Span:
+    ) -> Optional[Span]:
         """Append a span that closed at birth, in one call.
 
         Equivalent to ``begin(name, trace_id, at=start).finish(at=end,
         **attrs)``: the next span id, a child of the trace's root (or the
         root itself when the trace has none yet), ``attrs`` in the order
-        given.
+        given. Returns the span's handle, or None when the trace keeps no
+        rows.
         """
+        entry = self._log(name, trace_id, start, end, attrs)
+        if not self.keep_spans:
+            return None
         root = self._roots.get(trace_id)
         span = Span(self, len(self.names))
-        self.names.append(name)
-        self.trace_ids.append(trace_id)
-        self.parent_ids.append(None if root is None else root.span_id)
-        self.starts.append(start)
-        self.ends.append(end)
-        self.attrs.append(attrs or None)
+        parent_id = None if root is None else root.span_id
+        self._append(name, trace_id, parent_id, start, end, attrs, entry)
         if root is None:
             self._roots[trace_id] = span
         return span
 
-    def finish(self, span: Span, at: Optional[float] = None, **attrs: Any) -> Span:
+    def finish(self, span: AnySpan, at: Optional[float] = None, **attrs: Any) -> AnySpan:
         """Close ``span``, stamping the clock unless ``at`` is given."""
         return span.finish(at=self.clock() if at is None else at, **attrs)
+
+    def _log(
+        self, name: str, trace_id: int, start: float, end: float, attrs: Dict[str, Any]
+    ) -> int:
+        """Count one span and log it if the stage breakdown reads it;
+        returns its log entry, or -1."""
+        self._count += 1
+        ordinal = self._ordinals.get(trace_id)
+        if ordinal is None:
+            if name != ROOT_SPAN:
+                self._ordinals[trace_id] = -1
+                return -1
+            ok = self.stage_log.ok
+            ordinal = self._ordinals[trace_id] = len(ok)
+            ok.append(_status_ok(attrs))
+            code = ROOT_CODE
+        elif ordinal < 0:
+            return -1
+        else:
+            code = _STAGE_CODES.get(name)
+            if code is None:
+                return -1
+        return self.stage_log.append(ordinal, code, start, end)
+
+    def _note_status(self, entry: int, attrs: Dict[str, Any]) -> None:
+        """Keep a logged root's status as ``set`` or ``finish`` leaves it."""
+        if entry >= 0 and "status" in attrs:
+            log = self.stage_log
+            if log.codes[entry] == ROOT_CODE:
+                log.ok[log.ordinals[entry]] = _status_ok(attrs)
+
+    def _append(
+        self,
+        name: str,
+        trace_id: int,
+        parent_id: Optional[int],
+        start: float,
+        end: Optional[float],
+        attrs: Dict[str, Any],
+        entry: int,
+    ) -> None:
+        self.names.append(name)
+        self.trace_ids.append(trace_id)
+        self.parent_ids.append(parent_id)
+        self.starts.append(start)
+        self.ends.append(end)
+        self.attrs.append(attrs or None)
+        self._entries.append(entry)
 
     def _merge_attrs(self, row: int, attrs: Dict[str, Any]) -> None:
         stored = self.attrs[row]
@@ -254,7 +457,7 @@ class Trace:
         trace_id: int,
         parent: Optional[Span] = None,
         **attrs: Any,
-    ) -> Iterator[Span]:
+    ) -> Iterator[AnySpan]:
         """Context-manager form: the span closes when the block exits."""
         opened = self.begin(name, trace_id, parent=parent, **attrs)
         try:
@@ -262,7 +465,7 @@ class Trace:
         finally:
             self.finish(opened)
 
-    # -- queries ------------------------------------------------------------
+    # -- queries (span rows only) -------------------------------------------
 
     @property
     def spans(self) -> List[Span]:
@@ -274,32 +477,19 @@ class Trace:
         """The first span recorded for ``trace_id``, or None."""
         return self._roots.get(trace_id)
 
-    def rows_by_trace(self, root: Optional[str] = None) -> Dict[int, List[int]]:
+    def rows_by_trace(self) -> Dict[int, List[int]]:
         """Span ids grouped by ``trace_id``, in recording order; the traces
-        in the order their roots were recorded.
-
-        With ``root``, only the traces whose root span has that name.
-        """
-        names = self.names
-        grouped: Dict[int, List[int]] = {
-            trace_id: []
-            for trace_id, first in self._roots.items()
-            if root is None or names[first.span_id] == root
-        }
+        in the order their roots were recorded."""
+        grouped: Dict[int, List[int]] = {trace_id: [] for trace_id in self._roots}
         for row, trace_id in enumerate(self.trace_ids):
-            rows = grouped.get(trace_id)
-            if rows is not None:
-                rows.append(row)
+            grouped[trace_id].append(row)
         return grouped
 
-    def by_trace(self, root: Optional[str] = None) -> Dict[int, List[Span]]:
-        """Spans grouped by ``trace_id``, in recording order.
-
-        With ``root``, only the traces whose root span has that name.
-        """
+    def by_trace(self) -> Dict[int, List[Span]]:
+        """Spans grouped by ``trace_id``, in recording order."""
         return {
             trace_id: [Span(self, row) for row in rows]
-            for trace_id, rows in self.rows_by_trace(root).items()
+            for trace_id, rows in self.rows_by_trace().items()
         }
 
     def find(self, name: str) -> List[Span]:

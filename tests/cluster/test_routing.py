@@ -132,7 +132,7 @@ class TestNoBackendRoundTrip:
     def test_rejection_emits_the_sent_span(self):
         from repro.obs import Telemetry
 
-        telemetry = Telemetry()
+        telemetry = Telemetry(keep_spans=True)
         self._no_backend_latency(telemetry)
         sent_spans = [
             s for s in telemetry.trace.find("sent") if s.trace_id == 7

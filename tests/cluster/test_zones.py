@@ -159,3 +159,42 @@ class TestZoneOutageChaos:
     def test_needs_a_zone_name(self):
         with pytest.raises(ValueError):
             ZoneOutage(at_s=1.0, zone="")
+
+
+class TestOutageZoneMustBePlaced:
+    """A spec's zone outage names a zone its deployment places pods in."""
+
+    @staticmethod
+    def spec(zones, zone):
+        from repro.core.spec import ExperimentSpec, HardwareSpec
+
+        return ExperimentSpec(
+            "gru4rec", 2_000, 100, HardwareSpec("GPU-T4", 2), duration_s=6.0,
+            zones=zones, chaos=f"zone@1:name={zone}:restart=1",
+        )
+
+    def test_unplaced_zone_rejected(self):
+        with pytest.raises(ValueError, match=r"'z9'.*z0, z1 \(zones=2\)"):
+            self.spec(2, "z9")
+
+    def test_single_zone_spec_rejects_every_zone_outage(self):
+        with pytest.raises(ValueError, match=r"'z0'.*no zone \(zones=1\)"):
+            self.spec(1, "z0")
+
+    def test_placed_zone_builds(self):
+        (event,) = self.spec(2, "z1").chaos.events
+        assert event.zone == "z1"
+
+    def test_cli_exits_with_the_message(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main([
+                "run", "--model", "gru4rec", "--catalog", "2000", "--rps", "100",
+                "--duration", "6", "--instance", "GPU-T4", "--replicas", "2",
+                "--zones", "2", "--chaos", "zone@1:name=z9:restart=1",
+            ])
+        assert info.value.code == (
+            "zone outage names zone 'z9', but the spec places pods in z0, z1 "
+            "(zones=2)"
+        )

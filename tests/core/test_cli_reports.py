@@ -6,6 +6,7 @@ labels, the fields and their order), not the numbers: the golden digests
 in ``tests/golden/`` pin what the runs compute.
 """
 
+import hashlib
 import io
 import json
 import re
@@ -107,6 +108,29 @@ class TestRunReport:
             r"\(0 client-visible\)",
             rf"    rollout\[a\]: {N} pods updated, completed=(True|False)",
         )
+
+
+class TestTraceFlags:
+    """``--trace`` keeps no span rows and ``--trace-out`` keeps them for the
+    dump: both print the same breakdown, and the dump is the one a store
+    that always kept rows wrote."""
+
+    ARGV = (
+        "run", "--model", "gru4rec", "--catalog", "2000", "--rps", "200",
+        "--duration", "4", "--instance", "GPU-T4", "--shards", "2",
+        "--execution", "eager",
+    )
+    #: sha256 of this command's ``--trace-out`` dump when every traced run
+    #: kept its rows.
+    DUMP_SHA256 = "5ecda9a7bd50c26cd6cab90b97ce1a966469a9bdb66bf56c259cb47b972102d9"
+
+    def test_trace_prints_what_trace_out_prints(self, tmp_path):
+        dump = tmp_path / "trace.json"
+        traced = report(*self.ARGV, "--trace")
+        dumped = report(*self.ARGV, "--trace-out", str(dump))
+        assert dumped == (traced[0], traced[1] + f"wrote 4214 spans to {dump}\n")
+        assert_lines(traced[1], rf"shard fan-out\s+{N} .*", rf"end-to-end\s+{N} .*")
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DUMP_SHA256
 
 
 class TestInfraTestReport:

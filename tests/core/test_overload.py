@@ -148,7 +148,7 @@ class TestCircuitBreakerUnderChaos:
     def test_ejection_counters_and_spans_recorded(self):
         from repro.obs import Telemetry
 
-        telemetry = Telemetry()
+        telemetry = Telemetry(keep_spans=True)
         result = ExperimentRunner(seed=11).run(
             self._spec("rr,eject=3,cooldown=2,lag=6"), telemetry=telemetry
         )

@@ -22,7 +22,7 @@ class TestInstrumentedResilienceRun:
     @pytest.fixture(scope="class")
     def traced(self):
         """One crash mid-ramp, bridged by retries, fully instrumented."""
-        telemetry = Telemetry()
+        telemetry = Telemetry(keep_spans=True)
         result = ExperimentRunner(seed=21).run(
             spec(
                 duration_s=60.0,

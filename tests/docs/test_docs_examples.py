@@ -196,6 +196,37 @@ class TestReferences:
         ]
 
 
+class TestStageContract:
+    ROWS = {
+        "sent": "| `sent` | send | intake | hop |",
+        "shard_fanout": "| `shard_fanout` | legs out | legs back | sharded |",
+        "shard_merge": "| `shard_merge` | legs back | merged | sharded |",
+        "queued": "| `queued` | intake | pickup | FIFO |",
+        "batch_assembled": "| `batch_assembled` | window | flush | GPU |",
+        "inference": "| `inference` | start | end | device |",
+        "http_respond": "| `http_respond` | end | handed | HTTP |",
+    }
+
+    def table(self, stages):
+        rows = "\n".join(self.ROWS[stage] for stage in stages)
+        return (
+            "Stage contract, in pipeline order:\n\n"
+            "| span | opens | closes | notes |\n|---|---|---|---|\n"
+            f"{rows}\n\nThe `shard_merge` span, after the table.\n"
+        )
+
+    def test_missing_stage_flagged(self):
+        stages = [stage for stage in self.ROWS if stage != "shard_merge"]
+        assert docs_check.check_stage_contract(self.table(stages), "doc.md") == [
+            "doc.md: stage 'shard_merge' has no row in the 'Stage contract' table",
+        ]
+
+    def test_shipped_contract_names_every_stage(self):
+        assert docs_check.check_stage_contract(self.table(self.ROWS), "doc.md") == []
+        text = docs_check.STAGE_CONTRACT_DOC.read_text()
+        assert docs_check.check_stage_contract(text, "observability.md") == []
+
+
 class TestRealDocs:
     def test_shipped_documentation_is_clean(self, capsys):
         """The committed docs/README examples must validate — the same

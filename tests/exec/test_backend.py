@@ -140,7 +140,7 @@ class TestMemoShipping:
 
 class TestObservability:
     def test_serial_counters_and_spans(self):
-        telemetry = Telemetry()
+        telemetry = Telemetry(keep_spans=True)
         SerialBackend().run_tasks(squares(3), telemetry=telemetry)
         snapshot = telemetry.metrics.snapshot()
         assert snapshot['exec_tasks_total{backend="serial"}'] == 3
@@ -166,7 +166,7 @@ class TestObservability:
         assert snapshot['exec_task_failures_total{backend="serial"}'] == 1
 
     def test_mp_spans_in_submission_order(self):
-        telemetry = Telemetry()
+        telemetry = Telemetry(keep_spans=True)
         MultiprocessingBackend(workers=2).run_tasks(
             squares(4), telemetry=telemetry
         )

@@ -205,7 +205,7 @@ def _run(spec: ExperimentSpec, registry: AssetRegistry, telemetry=None):
 
 def trace_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str, str]:
     """The trace and breakdown digests of one traced run of ``spec``."""
-    telemetry = Telemetry()
+    telemetry = Telemetry(keep_spans=True)
     _run(spec, registry, telemetry)
     return {
         "trace": _sha256(trace_to_json(telemetry.trace)),
@@ -222,7 +222,7 @@ def run_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str, str]
     breakdown, differs from the untraced one.
     """
     result = _run(spec, registry).to_json()
-    telemetry = Telemetry()
+    telemetry = Telemetry(keep_spans=True)
     traced = _run(spec, registry, telemetry)
     assert traced.stage_breakdown is not None
     untraced_view = dataclasses.replace(traced, stage_breakdown=None).to_json()

@@ -13,14 +13,8 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.metrics.percentile import LatencyDigest
-from repro.obs.export import (
-    HTTP_OK,
-    ROOT_SPAN,
-    STAGE_LABELS,
-    STAGE_ORDER,
-    BreakdownReport,
-    StageStats,
-)
+from repro.obs.export import STAGE_LABELS, BreakdownReport, StageStats
+from repro.obs.trace import HTTP_OK, ROOT_SPAN, STAGE_ORDER
 
 
 def _zero_clock() -> float:

@@ -51,7 +51,7 @@ class TestGpuBatchSpans:
         """A burst flushed as one GPU batch: every request's inference span
         carries the same batch_id and the full batch_size."""
         sim = Simulator()
-        telemetry = Telemetry.for_simulator(sim)
+        telemetry = Telemetry.for_simulator(sim, keep_spans=True)
         server = EtudeInferenceServer(
             sim, GPU_T4.device, make_profile(GPU_T4.device),
             np.random.default_rng(0),
@@ -72,7 +72,7 @@ class TestGpuBatchSpans:
 
     def test_linger_window_recorded_as_batch_assembled(self):
         sim = Simulator()
-        telemetry = Telemetry.for_simulator(sim)
+        telemetry = Telemetry.for_simulator(sim, keep_spans=True)
         linger = 0.002
         server = EtudeInferenceServer(
             sim, GPU_T4.device, make_profile(GPU_T4.device),
@@ -89,7 +89,7 @@ class TestGpuBatchSpans:
 
     def test_stage_spans_nest_under_request_root(self):
         sim = Simulator()
-        telemetry = Telemetry.for_simulator(sim)
+        telemetry = Telemetry.for_simulator(sim, keep_spans=True)
         server = EtudeInferenceServer(
             sim, GPU_T4.device, make_profile(GPU_T4.device),
             np.random.default_rng(0),
@@ -112,7 +112,7 @@ class TestGpuBatchSpans:
 class TestCpuSpans:
     def test_cpu_path_records_per_request_stages(self):
         sim = Simulator()
-        telemetry = Telemetry.for_simulator(sim)
+        telemetry = Telemetry.for_simulator(sim, keep_spans=True)
         server = EtudeInferenceServer(
             sim, CPU_E2.device, make_profile(CPU_E2.device),
             np.random.default_rng(0),
@@ -129,7 +129,7 @@ class TestCpuSpans:
 
     def test_stage_durations_fit_inside_response_latency(self):
         sim = Simulator()
-        telemetry = Telemetry.for_simulator(sim)
+        telemetry = Telemetry.for_simulator(sim, keep_spans=True)
         server = EtudeInferenceServer(
             sim, CPU_E2.device, make_profile(CPU_E2.device),
             np.random.default_rng(0),
@@ -166,7 +166,7 @@ class TestEndToEnd:
         ``coalesced`` span when the leader's outcome reaches it (a
         cached answer, a degraded one or a 503), so no span is left
         open."""
-        telemetry = Telemetry()
+        telemetry = Telemetry(keep_spans=True)
         run_infra_test(
             **INFRA_TESTS["infra-actix-overload-cache-ivf"], telemetry=telemetry
         )

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Span, Trace
+from repro.obs import Span, SpanRowsNotKept, Trace
+from repro.obs.export import trace_to_json
 from repro.simulation import Simulator
 
 
@@ -207,15 +208,37 @@ class TestRecord:
         assert (sent.finished, sent.duration_s) == (True, 0.25)
         assert trace.begin("later", -5).parent_id == sent.span_id
 
-    def test_by_trace_filters_on_the_root_name(self):
-        trace = Trace()
-        trace.begin("request", 1, at=0.0)
-        trace.record("sent", -1, 0.0, 0.1)
-        trace.record("sent", 1, 0.0, 0.1)
-        trace.begin("request", 2, at=0.2)
-        trace.record("inference", -1, 0.1, 0.2)
-        everything = trace.by_trace()
-        assert trace.by_trace(root="request") == {
-            1: everything[1], 2: everything[2]
-        }
-        assert list(trace.by_trace(root="sent")) == [-1]
+
+class TestWithoutRows:
+    """``keep_spans=False`` keeps the stage log, the count and nothing else."""
+
+    def record_request(self):
+        trace = Trace(keep_spans=False)
+        root = trace.begin("request", 7, at=0.0)
+        assert trace.record("sent", 7, 0.0, 0.25, tier="local") is None
+        assert trace.begin("cache_hit", 7, at=0.25) is trace.begin("kernel", -1)
+        trace.finish(root.set(status=503), at=0.5, status=200)
+        return trace
+
+    def test_counts_every_span_and_logs_the_stages(self):
+        trace = self.record_request()
+        assert (len(trace), trace.trace_count, len(trace.stage_log)) == (4, 2, 2)
+        log = trace.stage_log
+        assert list(log.ends) == [0.5, 0.25] and list(log.ok) == [1]
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda trace: trace.spans,
+            lambda trace: trace.by_trace(),
+            lambda trace: trace.rows_by_trace(),
+            lambda trace: trace.find("sent"),
+            lambda trace: trace.root(7),
+            lambda trace: trace.names,
+            lambda trace: trace.attrs,
+            trace_to_json,
+        ],
+    )
+    def test_row_queries_say_how_to_keep_rows(self, query):
+        with pytest.raises(SpanRowsNotKept, match="keep_spans=True"):
+            query(self.record_request())

@@ -3,10 +3,16 @@
 A traced run records about 24 spans per request, so the store's cost per
 span decides whether a long traced run fits in memory and how much of it
 cyclic GC walks. Each test records 10,000 closed spans without attributes
-under one root. Every span shares the same two time objects, so only the
-store's own allocations count. A store that keeps one object and one
-attrs dict per span measures 1.0 GC-tracked object and about 200 bytes
-per span; the columnar store appends to six lists (about 51 bytes).
+on one trace. Every span shares the same two time objects, so only the
+store's own allocations count.
+
+- With rows (``keep_spans=True``), a span appends to six lists, to the
+  row-to-log column and, under a request root, to the stage log. A store
+  that kept one object and one attrs dict per span measured 1.0
+  GC-tracked object and about 200 bytes per span.
+- Without rows (``keep_spans=False``), a span under a request root is one
+  stage-log entry of 25 bytes in typed arrays; a span of a trace whose
+  first span is not ``request`` is only counted.
 """
 
 import gc
@@ -23,24 +29,22 @@ def record_closed_spans(trace):
         trace.record("sent", 0, START, END)
 
 
-def rooted_trace():
-    trace = Trace()
+def rooted_trace(keep_spans=True):
+    trace = Trace(keep_spans=keep_spans)
     trace.begin("request", 0, at=START)
     return trace
 
 
-def test_closed_spans_add_no_gc_tracked_objects():
-    trace = rooted_trace()
+def gc_tracked_growth(trace):
+    """GC-tracked objects added per span by recording the spans."""
     gc.collect()
     before = len(gc.get_objects())
     record_closed_spans(trace)
-    grown = len(gc.get_objects()) - before
-    assert len(trace) == SPANS + 1
-    assert grown / SPANS < 0.01
+    return (len(gc.get_objects()) - before) / SPANS
 
 
-def test_closed_span_without_attrs_stays_under_100_bytes():
-    trace = rooted_trace()
+def bytes_per_span(trace):
+    """Bytes the store grows by per span recorded."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -48,5 +52,34 @@ def test_closed_span_without_attrs_stays_under_100_bytes():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    return grown / SPANS
+
+
+def test_closed_spans_add_no_gc_tracked_objects():
+    trace = rooted_trace()
+    assert gc_tracked_growth(trace) < 0.01
     assert len(trace) == SPANS + 1
-    assert grown / SPANS < 100
+
+
+def test_closed_span_without_attrs_stays_under_100_bytes():
+    trace = rooted_trace()
+    assert bytes_per_span(trace) < 100
+    assert len(trace) == SPANS + 1
+
+
+def test_logged_spans_add_no_gc_tracked_objects():
+    trace = rooted_trace(keep_spans=False)
+    assert gc_tracked_growth(trace) == 0
+    assert len(trace) == len(trace.stage_log) == SPANS + 1
+
+
+def test_logged_span_stays_under_40_bytes():
+    trace = rooted_trace(keep_spans=False)
+    assert bytes_per_span(trace) < 40
+    assert len(trace) == len(trace.stage_log) == SPANS + 1
+
+
+def test_span_of_a_non_request_trace_stays_under_1_byte():
+    trace = Trace(keep_spans=False)
+    assert bytes_per_span(trace) < 1
+    assert len(trace) == SPANS and len(trace.stage_log) == 0

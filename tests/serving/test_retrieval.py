@@ -6,7 +6,6 @@ import pytest
 
 from repro.ann.config import RetrievalConfig
 from repro.core import ExperimentRunner, ExperimentSpec, HardwareSpec
-from repro.core.specfile import spec_from_dict, spec_to_dict
 from repro.hardware import GPU_T4
 
 CATALOG = 3_000
@@ -51,21 +50,6 @@ class TestConfig:
 
 
 class TestSpecWiring:
-    def test_string_spec_coerces_to_config(self):
-        s = spec(retrieval="ivf:nlist=32,nprobe=4")
-        assert isinstance(s.retrieval, RetrievalConfig)
-        assert s.retrieval.nlist == 32
-
-    def test_specfile_round_trip(self):
-        s = spec(retrieval="ivf:nlist=32,nprobe=4")
-        document = spec_to_dict(s)
-        assert document["retrieval"] == "ivf:nlist=32,nprobe=4"
-        restored, _slo = spec_from_dict(document)
-        assert restored.retrieval == s.retrieval
-
-    def test_specfile_omits_disabled_retrieval(self):
-        assert "retrieval" not in spec_to_dict(spec())
-
     def test_cli_flag_parsing(self):
         from repro.cli import build_parser
 

@@ -147,7 +147,7 @@ def execute(side, program):
         fractions = [weight / total for weight in weights[:shards]]
     telemetry = None
     if program["telemetry"]:
-        telemetry = Telemetry().bind(sim, start_sampler=False)
+        telemetry = Telemetry(keep_spans=True).bind(sim, start_sampler=False)
     fanouts = program["fanouts"]
 
     def shard_submit(shard):

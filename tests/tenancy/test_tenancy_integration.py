@@ -1,14 +1,11 @@
-"""The tenant fleet end to end: spec wiring, the disabled-path
-determinism contract, co-location budgets, non-composition guards,
-canary/shadow accounting in a full run, rolling version updates, and
-the observability surface."""
+"""The tenant fleet end to end: the disabled-path determinism contract,
+co-location budgets, non-composition guards, canary/shadow accounting
+in a full run, rolling version updates, and the observability surface."""
 
 import pytest
 
 from repro.cluster.kubernetes import DeploymentError
 from repro.core import ExperimentRunner, ExperimentSpec, HardwareSpec
-from repro.core.specfile import spec_from_dict, spec_to_dict
-from repro.tenancy import TenancyConfig
 
 
 def spec(**overrides):
@@ -18,26 +15,6 @@ def spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
-
-
-class TestSpecWiring:
-    def test_string_spec_coerces_to_config(self):
-        s = spec(tenants="a=stamp:3,slo=60;b=stamp:1")
-        assert isinstance(s.tenants, TenancyConfig)
-        assert [t.name for t in s.tenants.tenants] == ["a", "b"]
-
-    def test_empty_fleet_normalizes_to_none(self):
-        assert spec(tenants="").tenants is None
-        assert spec(tenants=TenancyConfig()).tenants is None
-
-    def test_specfile_round_trips_tenants(self):
-        s = spec(tenants="a=stamp:3,slo=60;b=narm:1,canary=0.1;fair=32")
-        document = spec_to_dict(s)
-        assert isinstance(document["tenants"], str)
-        restored, _slo = spec_from_dict(document)
-        assert restored.tenants == s.tenants
-        # The default is omitted so old spec files stay byte-stable.
-        assert "tenants" not in spec_to_dict(spec())
 
 
 class TestDisabledDeterminism:
@@ -199,7 +176,7 @@ class TestObservability:
     def test_route_spans_and_counters(self):
         from repro.obs import Telemetry
 
-        telemetry = Telemetry()
+        telemetry = Telemetry(keep_spans=True)
         result = ExperimentRunner(seed=33).run(
             spec(duration_s=10.0, tenants="a=stamp:3;b=stamp:1"),
             telemetry=telemetry,

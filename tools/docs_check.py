@@ -29,6 +29,10 @@ appear backticked in ``docs/*.md`` or ``README.md``. A name counts when it
 is an identifier inside an inline code span, so ``chaos_events_total{kind}``
 documents ``chaos_events_total``.
 
+The stage breakdown cannot outgrow its contract: every stage in
+``repro.obs.export.STAGE_ORDER`` must head a row of the "Stage contract"
+table in ``docs/observability.md``.
+
 References cannot go stale either: every repository path an inline code
 span names (one with a ``/`` ending in ``.py``, ``.md`` or ``.json``,
 resolved against the repository root, ``src/`` and ``src/repro/``) must
@@ -68,6 +72,11 @@ PATH_ROOTS = (REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro")
 MAKE_RE = re.compile(r"make ([\w-]+)")
 #: A dotted name in the package: ``repro.serving.batching.BatchingConfig``.
 DOTTED_RE = re.compile(r"\brepro(?:\.\w+)+")
+#: A table row whose first cell is one backticked name: ``| `sent` | ...``.
+TABLE_HEAD_RE = re.compile(r"^\|\s*`(\w+)`\s*\|")
+#: The page and the line that introduces the stage contract table.
+STAGE_CONTRACT_DOC = REPO_ROOT / "docs" / "observability.md"
+STAGE_CONTRACT = "Stage contract"
 #: Calls whose literal first argument names an instrument or a span.
 NAMING_CALLS = {
     "counter": "instrument", "gauge": "instrument", "histogram": "instrument",
@@ -360,6 +369,34 @@ def check_catalog(texts, source_paths) -> List[str]:
     ]
 
 
+def check_stage_contract(text: str, display) -> List[str]:
+    """Every stage the breakdown reports heads a row of the table that
+    follows the line naming the stage contract."""
+    from repro.obs.export import STAGE_ORDER
+
+    lines = text.splitlines()
+    start = next(
+        (index for index, line in enumerate(lines) if STAGE_CONTRACT in line), None
+    )
+    if start is None:
+        return [f"{display}: no {STAGE_CONTRACT!r} table"]
+    heads: Set[str] = set()
+    in_table = False
+    for line in lines[start + 1:]:
+        if line.startswith("|"):
+            in_table = True
+            match = TABLE_HEAD_RE.match(line)
+            if match:
+                heads.add(match.group(1))
+        elif in_table:
+            break
+    return [
+        f"{display}: stage {stage!r} has no row in the {STAGE_CONTRACT!r} table"
+        for stage in STAGE_ORDER
+        if stage not in heads
+    ]
+
+
 def source_files() -> List[Path]:
     return sorted((REPO_ROOT / "src").rglob("*.py"))
 
@@ -399,6 +436,12 @@ def main(argv: List[str] = None) -> int:
         problems.extend(check_feature_rows(readme.read_text(), "README.md"))
         problems.extend(
             check_catalog([path.read_text() for path in paths], source_files())
+        )
+        problems.extend(
+            check_stage_contract(
+                STAGE_CONTRACT_DOC.read_text(),
+                STAGE_CONTRACT_DOC.relative_to(REPO_ROOT),
+            )
         )
     for path in paths:
         try:
