@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +54,7 @@ class Pod:
     servers: List[EtudeInferenceServer] = field(
         default_factory=list, repr=False, compare=False
     )
+    #: Written only through :meth:`ModelDeployment.set_ready`.
     ready: bool = False
     ready_at: float = float("inf")
     #: Catalog shard this replica serves (0 on unsharded deployments).
@@ -145,12 +146,31 @@ class ModelDeployment:
         zones: int = 1,
     ):
         self.name = name
+        #: Every pod, in deployment order; only :meth:`append_pod` grows it.
         self.pods = pods
         self.ready_signal = ready_signal
         #: What every pod runs: read again at each restart and scale-up.
         self.template = template
         #: Failure domains the fleet is spread over (1 = no zone topology).
         self.zones = zones
+        #: ``ready_pods`` and each shard's ready pods, kept until a
+        #: readiness write or a pod append.
+        self._ready: Optional[Tuple[Pod, ...]] = None
+        self._ready_in_shard: Dict[int, Tuple[Pod, ...]] = {}
+
+    def set_ready(self, pod: Pod, ready: bool) -> None:
+        """Flip ``pod``'s readiness probe. Boot, restart, crash, scale-down
+        and the tenant rollout all write readiness here, and nowhere else."""
+        pod.ready = ready
+        self._forget_ready()
+
+    def append_pod(self, pod: Pod) -> None:
+        self.pods.append(pod)
+        self._forget_ready()
+
+    def _forget_ready(self) -> None:
+        self._ready = None
+        self._ready_in_shard = {}
 
     @property
     def sharding(self) -> Optional[ShardingConfig]:
@@ -170,8 +190,19 @@ class ModelDeployment:
         return [pod for pod in self.pods if pod.zone == zone]
 
     @property
-    def ready_pods(self) -> List[Pod]:
-        return [pod for pod in self.pods if pod.ready]
+    def ready_pods(self) -> Tuple[Pod, ...]:
+        """The ready pods, in deployment order."""
+        if self._ready is None:
+            self._ready = tuple(pod for pod in self.pods if pod.ready)
+        return self._ready
+
+    def ready_in_shard(self, shard: int) -> Tuple[Pod, ...]:
+        """The ready pods of one catalog shard, in deployment order."""
+        ready = self._ready_in_shard.get(shard)
+        if ready is None:
+            ready = tuple(pod for pod in self.ready_pods if pod.shard == shard)
+            self._ready_in_shard[shard] = ready
+        return ready
 
     @property
     def all_ready(self) -> bool:
@@ -384,11 +415,6 @@ class Cluster:
                 )
             )
         ready_signal = Signal(f"{name}-ready")
-        remaining = {"count": len(pods)}
-        for pod in pods:
-            self.simulator.spawn(
-                self._start_pod(pod, template, ready_signal, remaining)
-            )
         deployment = ModelDeployment(
             name=name,
             pods=pods,
@@ -396,6 +422,11 @@ class Cluster:
             template=template,
             zones=zones,
         )
+        remaining = {"count": len(pods)}
+        for pod in pods:
+            self.simulator.spawn(
+                self._start_pod(deployment, pod, template, ready_signal, remaining)
+            )
         self.deployments.append(deployment)
         return deployment
 
@@ -419,7 +450,7 @@ class Cluster:
         pod = deployment.pods[pod_index]
 
         def crash() -> None:
-            pod.ready = False
+            deployment.set_ready(pod, False)
             if pod.server is not None:
                 pod.server.crash()
             if restart_after is not None:
@@ -457,8 +488,8 @@ class Cluster:
             shard=shard,
             zone=zone,
         )
-        deployment.pods.append(pod)
-        self.simulator.spawn(self._start_pod(pod, deployment.template))
+        deployment.append_pod(pod)
+        self.simulator.spawn(self._start_pod(deployment, pod, deployment.template))
         return pod
 
     @staticmethod
@@ -469,7 +500,7 @@ class Cluster:
         if len(ready) <= 1:
             return None
         victim = ready[-1]
-        victim.ready = False
+        deployment.set_ready(victim, False)
         return victim
 
     def _restart_pod(self, deployment: ModelDeployment, pod: Pod, delay: float):
@@ -478,10 +509,11 @@ class Cluster:
         # template is read after each wait, so the restarted server gets
         # whatever batching the scheduler tuned meanwhile.
         yield self._boot_s(deployment.template)
-        self._serve(pod, deployment.template, f"{pod.name}-restarted")
+        self._serve(deployment, pod, deployment.template, f"{pod.name}-restarted")
 
     def _start_pod(
         self,
+        deployment: ModelDeployment,
         pod: Pod,
         template: PodTemplate,
         ready_signal: Optional[Signal] = None,
@@ -494,7 +526,7 @@ class Cluster:
         # 2. Container boot + artifact download + model load.
         yield self._boot_s(template)
         # 3. Server comes up; the readiness probe flips.
-        self._serve(pod, template, pod.name)
+        self._serve(deployment, pod, template, pod.name)
         if remaining is not None:
             remaining["count"] -= 1
             if remaining["count"] == 0:
@@ -515,7 +547,9 @@ class Cluster:
             + template.index_build_s
         )
 
-    def _serve(self, pod: Pod, template: PodTemplate, name: str) -> None:
+    def _serve(
+        self, deployment: ModelDeployment, pod: Pod, template: PodTemplate, name: str
+    ) -> None:
         """Bring ``pod``'s server up from the template; the readiness
         probe flips.
 
@@ -558,5 +592,5 @@ class Cluster:
             tenant_fair_depth=template.tenant_fair_depth,
         )
         pod.servers.append(pod.server)
-        pod.ready = True
+        deployment.set_ready(pod, True)
         pod.ready_at = self.simulator.now

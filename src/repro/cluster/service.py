@@ -542,8 +542,6 @@ class _ShardRoute:
         "shard",
         "routing",
         "plain",
-        "pods",
-        "seen",
         "cursor",
     )
 
@@ -554,11 +552,6 @@ class _ShardRoute:
         self.shard = shard
         self.routing = service.routing
         self.plain = service.routing is None and service._zones <= 1
-        #: Every pod of this shard, ready or not, in deployment order.
-        #: ``deployment.pods`` only grows and a pod's shard is fixed, so
-        #: the group is rebuilt only when a pod has been added.
-        self.pods: List[Pod] = []
-        self.seen = 0
         self.cursor = 0
 
     def submit(
@@ -566,13 +559,7 @@ class _ShardRoute:
     ) -> None:
         routing = self.routing
         if routing is None:
-            deployment_pods = self.deployment.pods
-            if len(deployment_pods) != self.seen:
-                self.pods = [
-                    pod for pod in deployment_pods if pod.shard == self.shard
-                ]
-                self.seen = len(deployment_pods)
-            pods = [pod for pod in self.pods if pod.ready]
+            pods = self.deployment.ready_in_shard(self.shard)
         else:
             pods = partition_by_shard(self.service._routing_view()).get(
                 self.shard, []

@@ -91,11 +91,11 @@ class TenantRollout:
             # Out of rotation while the new artifact loads; queued work
             # keeps completing on the pod meanwhile.
             was_ready = pod.ready
-            pod.ready = False
+            self.deployment.set_ready(pod, False)
             started = self.simulator.now
             yield serving.resident_bytes / Cluster.MODEL_LOAD_BANDWIDTH
             server.set_tenant_version(self.tenant.name, new_version)
-            pod.ready = was_ready
+            self.deployment.set_ready(pod, was_ready)
             now = self.simulator.now
             self.events.append(
                 {
