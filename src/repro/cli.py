@@ -914,14 +914,17 @@ def _cmd_reproduce(args, out) -> int:
 
 
 def _cmd_workload(args, out) -> int:
-    statistics = WorkloadStatistics(
-        catalog_size=args.catalog,
-        alpha_length=args.alpha_length,
-        alpha_clicks=args.alpha_clicks,
-    )
-    log = SyntheticWorkloadGenerator(statistics, seed=args.seed).generate_clicks(
-        args.clicks
-    )
+    try:
+        statistics = WorkloadStatistics(
+            catalog_size=args.catalog,
+            alpha_length=args.alpha_length,
+            alpha_clicks=args.alpha_clicks,
+        )
+        log = SyntheticWorkloadGenerator(statistics, seed=args.seed).generate_clicks(
+            args.clicks
+        )
+    except ValueError as error:
+        raise SystemExit(str(error))
     lines = ["session_id,item_id,step"]
     lines.extend(
         f"{s},{i},{t}"

@@ -53,6 +53,8 @@ class SyntheticWorkloadGenerator:
 
     def generate_clicks(self, num_clicks: int) -> ClickLog:
         """Generate at least ``num_clicks`` clicks (whole sessions)."""
+        if num_clicks < 1:
+            raise ValueError(f"num_clicks must be >= 1, got {num_clicks}")
         mean_length = self._length_dist.mean()
         lengths_chunks: List[np.ndarray] = []
         total = 0

@@ -96,6 +96,21 @@ class TestWorkloadCommand:
         assert lines[0] == "session_id,item_id,step"
         assert len(lines) >= 201
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--clicks", "0", "num_clicks must be >= 1, got 0"),
+            ("--clicks", "-5", "num_clicks must be >= 1, got -5"),
+            ("--catalog", "0", "catalog_size must be positive"),
+            ("--alpha-clicks", "0.5", "exponents must exceed 1"),
+        ],
+    )
+    def test_invalid_input_exits_with_the_message(self, flag, value, message):
+        flags = {"--catalog": "1000", "--clicks": "100", flag: value}
+        argv = [part for pair in flags.items() for part in pair]
+        with pytest.raises(SystemExit, match=message):
+            run_cli("workload", *argv)
+
 
 class TestPlanCommand:
     def test_small_scenario_plans(self):
