@@ -1,6 +1,6 @@
-"""Failure domains end to end: the zones key of spec files, the
-availability section of a zoned run, the scripted failure drill, and the
-planner's ``--survive-zones`` gate."""
+"""Failure domains end to end: the availability section of a zoned run,
+the scripted failure drill, and the planner's ``--survive-zones`` gate.
+The zones key of spec files is in tests/core/test_features.py."""
 
 import math
 
@@ -9,7 +9,6 @@ import pytest
 from repro.core import DeploymentPlanner, ExperimentRunner, ExperimentSpec, HardwareSpec
 from repro.core.drill import run_failure_drill
 from repro.core.spec import Scenario
-from repro.core.specfile import spec_from_dict, spec_to_dict
 from repro.hardware import CPU_E2
 
 
@@ -20,21 +19,6 @@ def spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
-
-
-class TestSingleZoneDeterminism:
-    """zones=1 is the field's default, so an explicit single zone is the
-    default spec (tests/core/test_features.py); the golden digests pin
-    what the default runs produce."""
-
-    def test_specfile_round_trips_zones(self):
-        zoned = spec(zones=3)
-        document = spec_to_dict(zoned)
-        assert document["zones"] == 3
-        restored, _slo = spec_from_dict(document)
-        assert restored.zones == 3
-        # The default is omitted so old spec files stay byte-stable.
-        assert "zones" not in spec_to_dict(spec())
 
 
 class TestAvailabilitySection:

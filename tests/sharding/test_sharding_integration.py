@@ -1,13 +1,13 @@
-"""Catalog sharding end to end: spec wiring, shard-scoped scoring against
-the real model, scatter-gather semantics under failure, chaos shard
-crashes with partial coverage, and the planner's shard dimension."""
+"""Catalog sharding end to end: the config grammar, shard-scoped scoring
+against the real model, scatter-gather semantics under failure, chaos
+shard crashes with partial coverage, and the planner's shard dimension.
+How a spec and a spec file carry sharding is in tests/core/test_features.py."""
 
 import numpy as np
 import pytest
 
 from repro.core import ExperimentRunner, ExperimentSpec, HardwareSpec
 from repro.core.infra_test import run_infra_test
-from repro.core.specfile import spec_from_dict, spec_to_dict
 from repro.models import ModelConfig, create_model
 from repro.serving.request import (
     HTTP_OK,
@@ -45,20 +45,6 @@ class TestConfigAndSpecWiring:
         for text in ("1", "4", "4,partial=off"):
             config = ShardingConfig.parse(text)
             assert ShardingConfig.parse(config.spec_string()) == config
-
-    def test_spec_coerces_string_and_int(self):
-        assert spec(sharding="4").sharding == ShardingConfig(shards=4)
-        assert spec(sharding=4).sharding == ShardingConfig(shards=4)
-
-    def test_specfile_round_trip(self):
-        s = spec(sharding="4,partial=off")
-        document = spec_to_dict(s)
-        assert document["shards"] == "4,partial=off"
-        restored, _slo = spec_from_dict(document)
-        assert restored.sharding == s.sharding
-
-    def test_specfile_omits_unset_sharding(self):
-        assert "shards" not in spec_to_dict(spec())
 
     def test_enabled_only_above_one(self):
         assert not ShardingConfig(shards=1).enabled
