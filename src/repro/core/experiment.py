@@ -40,7 +40,6 @@ from repro.tenancy.fleet import TenantServing
 from repro.tenancy.rollout import TenantRollout
 from repro.tenancy.split import TrafficSplitter
 from repro.tensor.serialization import save_module_state
-from repro.workload.synthetic import SyntheticWorkloadGenerator
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -99,11 +98,14 @@ class ExperimentRunner:
 
         The run's simulator and cluster are its own, never stored on the
         infrastructure: once this returns, normally or by raising, the
-        servers, spans and workload item pool live only as long as the
-        result and the caller's ``telemetry`` reach them. The simulator
-        is closed when it stops, so no suspended process keeps them
-        either: an untraced run is freed by reference counting when this
-        returns, without a pass of the cyclic collector.
+        servers and spans live only as long as the result and the
+        caller's ``telemetry`` reach them. The simulator is closed when it
+        stops, so no suspended process keeps them either: an untraced run
+        is freed by reference counting when this returns, without a pass
+        of the cyclic collector. The registry keeps one thing past the
+        run: the last workload item pool it built and the generator state
+        after that build (:meth:`AssetRegistry.workload`), until it builds
+        another key.
         """
         instance = instance_by_name(spec.hardware.instance_type)
         # ANN retrieval swaps the scoring head behind the same assets
@@ -300,7 +302,10 @@ class ExperimentRunner:
             ),
         )
 
-        workload = SyntheticWorkloadGenerator(
+        # The item pool depends only on the workload seed and statistics,
+        # so the registry builds it once for a run of candidates that share
+        # both; a memo hit draws exactly what a fresh build would.
+        workload = self.registry.workload(
             spec.workload_statistics(),
             seed=int(streams.stream("workload").integers(2**31)),
         )

@@ -5,6 +5,11 @@ The expensive part of configuring a run is constructing the model,
 trace into per-device service-time profiles. All of it is deterministic in
 ``(model, catalog_size, device, execution, top_k)``, so the registry caches
 aggressively — the planner probes dozens of configurations per scenario.
+
+The other expensive build is the workload's C-entry item pool, which
+depends only on the workload seed and statistics: every planner
+candidate and every repetition of one spec draws it the same way. The
+registry keeps the last one built (:meth:`AssetRegistry.workload`).
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from repro.tensor import (
 )
 from repro.tensor.ops import CostTrace
 from repro.tensor.tensor import Tensor
+from repro.workload.powerlaw import EmpiricalCDF
+from repro.workload.statistics import WorkloadStatistics
+from repro.workload.synthetic import SyntheticWorkloadGenerator
 
 
 @dataclass
@@ -53,7 +61,13 @@ def _retrieval_token(retrieval: Optional[RetrievalConfig]) -> Optional[str]:
 
 
 class AssetRegistry:
-    """Memoized construction of models, traces and profiles."""
+    """Memoized construction of models, traces, profiles and item pools.
+
+    Models, runners, traces, profiles and recalls are kept for the
+    registry's life. The workload memo holds one entry: the last item pool
+    built, with the generator state right after its build. It is never
+    shipped between processes (:attr:`MEMO_SECTIONS`).
+    """
 
     def __init__(self):
         self._models: Dict[Tuple, SessionRecModel] = {}
@@ -61,6 +75,32 @@ class AssetRegistry:
         self._traces: Dict[Tuple, CostTrace] = {}
         self._profiles: Dict[Tuple, ServiceTimeProfile] = {}
         self._recalls: Dict[Tuple, float] = {}
+        #: (key, item CDF, ``bit_generator.state`` after the build), or None.
+        self._workload: Optional[Tuple[Tuple, EmpiricalCDF, dict]] = None
+
+    def workload(
+        self, statistics: WorkloadStatistics, seed: int
+    ) -> SyntheticWorkloadGenerator:
+        """``SyntheticWorkloadGenerator(statistics, seed)``, whose item pool
+        is built once for consecutive calls with the same arguments.
+
+        A hit shares the memo's read-only item CDF and starts the new
+        generator from the saved state, so it draws exactly what a fresh
+        build would. A miss drops the old entry before it builds, so the
+        memo never keeps two pools alive.
+        """
+        key = (seed, statistics, SyntheticWorkloadGenerator.MAX_CLICK_COUNT)
+        if self._workload is not None and self._workload[0] == key:
+            _key, item_cdf, state = self._workload
+            return SyntheticWorkloadGenerator.resumed(statistics, item_cdf, state)
+        self._workload = None
+        generator = SyntheticWorkloadGenerator(statistics, seed=seed)
+        self._workload = (
+            key,
+            generator._item_cdf,
+            generator._rng.bit_generator.state,
+        )
+        return generator
 
     def model(
         self,
@@ -211,7 +251,9 @@ class AssetRegistry:
     #: Memo sections that are picklable pure data, safe to ship between
     #: processes. ``_models`` and ``_runners`` are deliberately excluded:
     #: runners hold closures over live model objects, and models are heavy
-    #: — both are rebuilt deterministically from the shipped traces.
+    #: — both are rebuilt deterministically from the shipped traces. The
+    #: workload memo is excluded too: a pool is up to 160 MB, and each
+    #: process builds its own once per key.
     MEMO_SECTIONS = ("recalls", "traces", "profiles")
 
     def export_memos(self, skip: Optional[Dict[str, set]] = None) -> Dict[str, Dict]:

@@ -90,6 +90,18 @@ class EmpiricalCDF:
         cdf = np.cumsum(class_weights)
         self._class_cdf = cdf / cdf[-1]
         self._class_cdf[-1] = 1.0
+        self._freeze()
+
+    def _freeze(self) -> None:
+        """Make the built tables read-only: runs that share one pool (the
+        registry's workload memo) must never see another's writes."""
+        for table in (
+            self._item_pool,
+            self._class_offsets,
+            self._class_sizes,
+            self._class_cdf,
+        ):
+            table.flags.writeable = False
 
     def __len__(self) -> int:
         return self._size
@@ -126,6 +138,7 @@ class EmpiricalCDF:
         cdf = np.cumsum(weights)
         instance._class_cdf = cdf / cdf[-1]
         instance._class_cdf[-1] = 1.0
+        instance._freeze()
         return instance
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:

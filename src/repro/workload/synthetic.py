@@ -31,19 +31,46 @@ class SyntheticWorkloadGenerator:
     MAX_CLICK_COUNT = 100_000
 
     def __init__(self, statistics: WorkloadStatistics, seed: int = 13):
-        self.statistics = statistics
-        self._rng = np.random.default_rng(seed)
-        self._length_dist = BoundedPowerLaw(
-            statistics.alpha_length, x_min=1, x_max=statistics.max_session_length
-        )
+        rng = np.random.default_rng(seed)
         # Line 7: C click counts sampled up front, reused for every session
         # (built directly from the class histogram — see EmpiricalCDF).
         counts_dist = BoundedPowerLaw(
             statistics.alpha_clicks, x_min=1, x_max=self.MAX_CLICK_COUNT
         )
-        self._item_cdf = EmpiricalCDF.from_power_law(
-            counts_dist, statistics.catalog_size, self._rng
+        item_cdf = EmpiricalCDF.from_power_law(
+            counts_dist, statistics.catalog_size, rng
         )
+        self._bind(statistics, item_cdf, rng)
+
+    @classmethod
+    def resumed(
+        cls, statistics: WorkloadStatistics, item_cdf: EmpiricalCDF, state: dict
+    ) -> "SyntheticWorkloadGenerator":
+        """A generator over a prebuilt (read-only) item CDF whose draws start
+        from ``state``, a ``bit_generator.state``.
+
+        Given the CDF ``SyntheticWorkloadGenerator(statistics, seed)``
+        built and its generator's state right after that build, the result
+        draws exactly what that generator would have drawn.
+        """
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = state
+        generator = cls.__new__(cls)
+        generator._bind(statistics, item_cdf, rng)
+        return generator
+
+    def _bind(
+        self,
+        statistics: WorkloadStatistics,
+        item_cdf: EmpiricalCDF,
+        rng: np.random.Generator,
+    ) -> None:
+        self.statistics = statistics
+        self._rng = rng
+        self._length_dist = BoundedPowerLaw(
+            statistics.alpha_length, x_min=1, x_max=statistics.max_session_length
+        )
+        self._item_cdf = item_cdf
 
     def sample_session_lengths(self, num_sessions: int) -> np.ndarray:
         return self._length_dist.sample(num_sessions, self._rng)

@@ -2,10 +2,12 @@
 
 Once :meth:`ExperimentRunner.run` returns, normally or by raising, the
 infrastructure holds no part of the run: its simulator, cluster, servers,
-spans and workload item pool live only as long as the caller's result
+spans and workload generator live only as long as the caller's result
 and telemetry reach them. An untraced run's objects, sharded or not, are
 freed by reference counting: the run leaves nothing for the cyclic
-collector.
+collector. The one thing kept past the run is the registry's workload
+memo: the last item pool built, which dies once that registry builds
+another key.
 """
 
 import gc
@@ -14,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-import repro.core.experiment as experiment
+import repro.core.registry as repro_registry
 from repro.cache.tier import CacheConfig
 from repro.cluster.kubernetes import DeploymentError
 from repro.core.experiment import ExperimentRunner
@@ -35,16 +37,23 @@ SPEC = ExperimentSpec(
 SLACK = 100
 
 
-def watched_workload(pools):
-    """A workload class that appends a weak reference to each item pool
-    it builds to ``pools``."""
+def watched_workload(pools, generators):
+    """A workload class that appends a weak reference to the item pool of
+    each generator made (built or served from the registry's memo) to
+    ``pools``, and one to the generator to ``generators``."""
 
     class WatchedWorkload(SyntheticWorkloadGenerator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            pools.append(weakref.ref(self._item_cdf._item_pool))
+        def _bind(self, statistics, item_cdf, rng):
+            super()._bind(statistics, item_cdf, rng)
+            pools.append(weakref.ref(item_cdf._item_pool))
+            generators.append(weakref.ref(self))
 
     return WatchedWorkload
+
+
+def memo_pool(registry):
+    """The item pool the registry's workload memo holds."""
+    return registry._workload[1]._item_pool
 
 
 @pytest.fixture
@@ -54,9 +63,10 @@ def runner():
 
 @pytest.fixture
 def watched(monkeypatch):
-    """Weak references to each run's simulator and workload item pool,
-    and a Telemetry class that takes the simulator's reference on bind."""
-    refs = {"simulator": [], "pool": []}
+    """Weak references to each run's simulator, workload generator and
+    item pool, and a Telemetry class that takes the simulator's reference
+    on bind."""
+    refs = {"simulator": [], "pool": [], "generator": []}
 
     class WatchedTelemetry(Telemetry):
         def bind(self, simulator, start_sampler=True):
@@ -64,7 +74,9 @@ def watched(monkeypatch):
             return super().bind(simulator, start_sampler)
 
     monkeypatch.setattr(
-        experiment, "SyntheticWorkloadGenerator", watched_workload(refs["pool"])
+        repro_registry,
+        "SyntheticWorkloadGenerator",
+        watched_workload(refs["pool"], refs["generator"]),
     )
     return refs, WatchedTelemetry
 
@@ -79,8 +91,14 @@ def test_run_lives_as_long_as_the_callers_telemetry(runner, watched):
     del telemetry
     gc.collect()
     assert refs["simulator"][0]() is None
-    assert refs["pool"][0]() is None
     assert runner.infra.simulator.now == 0.0
+    # The pool outlives the run only as the registry's memo entry, and
+    # dies once that registry builds another key.
+    (pool,) = refs["pool"]
+    assert pool() is memo_pool(runner.registry)
+    other = replace(SPEC.workload_statistics(), catalog_size=SPEC.catalog_size + 1)
+    runner.registry.workload(other, seed=0)
+    assert pool() is None
 
 
 def test_a_run_that_raises_is_released_too(runner, watched):
@@ -116,15 +134,18 @@ for _name, _spec in {**SCENARIOS, **RUNS, **RESPONSES}.items():
 
 @pytest.fixture(scope="module")
 def freed():
-    """``name -> (pool alive when run returned, objects gc.collect()
-    found)`` for an untraced run of each golden spec, measured with the
-    collector off, on a registry whose assets are already built."""
+    """``name -> ((pools alive besides the memo's, the run's workload
+    generator alive), objects gc.collect() found)`` once an untraced run
+    of each golden spec returns, measured with the collector off, on a
+    registry whose assets are already built."""
     registry = AssetRegistry()
-    pools = []
+    pools, generators = [], []
     measured = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            experiment, "SyntheticWorkloadGenerator", watched_workload(pools)
+            repro_registry,
+            "SyntheticWorkloadGenerator",
+            watched_workload(pools, generators),
         )
         for spec in GOLDEN_SPECS.values():  # builds assets and memos
             ExperimentRunner(registry=registry, seed=RUNNER_SEED).run(
@@ -135,8 +156,12 @@ def freed():
             gc.disable()
             try:
                 ExperimentRunner(registry=registry, seed=RUNNER_SEED).run(spec)
-                alive = pools[-1]() is not None
-                measured[name] = (alive, gc.collect())
+                held = memo_pool(registry)
+                stray = sum(
+                    1 for ref in pools if ref() is not None and ref() is not held
+                )
+                alive = generators[-1]() is not None
+                measured[name] = ((stray, alive), gc.collect())
             finally:
                 gc.enable()
     return measured
@@ -161,4 +186,8 @@ def test_a_sharded_run_leaves_no_cycle(name, freed):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
 def test_the_item_pool_is_freed_when_run_returns(name, freed):
-    assert freed[name][0] is False
+    """Every pool built so far is dead except the one the registry's memo
+    holds, and the run's generator is freed with the run."""
+    stray, generator_alive = freed[name][0]
+    assert stray == 0
+    assert generator_alive is False
