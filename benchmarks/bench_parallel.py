@@ -12,6 +12,9 @@ Interpretation notes:
 - every sweep starts from a cold registry (fresh runner, fresh worker
   state), so serial and mp both pay full model tracing; nothing leaks
   between timed sweeps;
+- a cold serial sweep builds one workload item pool per (workload seed,
+  statistics) key and reuses it for every candidate after the first;
+  each mp worker builds its own pool once per key;
 - on hosts with few cores, mp *loses* to serial — workers re-trace
   models the serial sweep traces once, and fork/pickle overhead is pure
   tax. The >= 2x speedup expectation only applies on >= 4 cores
