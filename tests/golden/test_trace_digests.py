@@ -6,9 +6,9 @@ Four groups of runs, each a few virtual seconds past provisioning:
 
 - ``SCENARIOS`` (a sharded, cached T4 fleet; one T4; one CPU) cover every
   span site of the default, sharding and cache paths. Each stores the
-  sha256 of ``trace_to_json(telemetry.trace)`` and of the JSON of
-  ``stage_breakdown(...).to_dict()``. The two default runs also report
-  no feature section at all.
+  sha256 of ``trace_to_json(telemetry.trace)``, of the JSON of
+  ``stage_breakdown(...).to_dict()`` and of the run's metrics (below).
+  The two default runs also report no feature section at all.
 - ``RUNS`` holds one run per family of opt-in dimensions: overload
   protection, sharding across zones with a zone outage, retries and a
   two-tier cache, ANN retrieval, the heterogeneous scheduler, and a
@@ -17,10 +17,11 @@ Four groups of runs, each a few virtual seconds past provisioning:
   backpressure; plus a scheduler fleet and a tenant fleet whose pods
   crash and come back through the kubelet restart path, each restarted
   pod answering a pinned number of requests. Each stores the sha256 of
-  an untraced run's ``RunResult.to_json()`` and of a traced run's
-  trace. The traced run's result, without its ``stage_breakdown``,
-  hashes the same as the untraced one, and so does each result when the
-  ``mp:workers=2`` execution backend runs the spec.
+  an untraced run's ``RunResult.to_json()`` and of a traced run's trace
+  and metrics. The traced run's result, without its
+  ``stage_breakdown``, hashes the same as the untraced one, and so does
+  each result when the ``mp:workers=2`` execution backend runs the
+  spec.
 - ``RESPONSES`` pins every response the load generator records, in
   record order, for the saturated CPU run, the ``t4``, ``cpu`` and
   ``t4-sharded-cached`` scenarios, a two-pod run whose client retries a
@@ -31,6 +32,13 @@ Four groups of runs, each a few virtual seconds past provisioning:
   untraced run.
 - ``INFRA_TESTS`` holds four ``run_infra_test`` runs. Each stores the
   sha256 of ``json.dumps(dataclasses.asdict(result))``.
+
+The ``metrics`` digest of a traced run hashes the JSON, with sorted keys,
+of every ``MetricRegistry.snapshot()`` entry that is not 0 at the end of
+the run, together with every gauge timeline of ``telemetry.sampler``. An
+instrument that is registered but never moves leaves no mark, so
+registering one earlier changes nothing; one that moves, vanishes or
+appears nonzero changes the digest.
 
 A change that means to move no simulated number must leave every digest
 in ``trace_digests.json`` unchanged. After an intended change to what a
@@ -203,8 +211,24 @@ def _run(spec: ExperimentSpec, registry: AssetRegistry, telemetry=None):
     )
 
 
+def metrics_digest(telemetry: Telemetry) -> str:
+    """The digest of a finished run's nonzero instrument values and of
+    its gauge timelines."""
+    values = {
+        key: value
+        for key, value in telemetry.metrics.snapshot().items()
+        if value != 0
+    }
+    return _sha256(
+        json.dumps(
+            {"values": values, "series": telemetry.sampler.series},
+            sort_keys=True,
+        )
+    )
+
+
 def trace_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str, str]:
-    """The trace and breakdown digests of one traced run of ``spec``."""
+    """The trace, breakdown and metrics digests of one traced run."""
     telemetry = Telemetry(keep_spans=True)
     _run(spec, registry, telemetry)
     return {
@@ -212,11 +236,13 @@ def trace_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str, st
         "stage_breakdown": _sha256(
             json.dumps(stage_breakdown(telemetry.trace).to_dict())
         ),
+        "metrics": metrics_digest(telemetry),
     }
 
 
 def run_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str, str]:
-    """The untraced result's digest, and the traced run's trace digest.
+    """The untraced result's digest, and the traced run's trace and
+    metrics digests.
 
     Raises AssertionError when the traced result, without its stage
     breakdown, differs from the untraced one.
@@ -230,6 +256,7 @@ def run_digests(spec: ExperimentSpec, registry: AssetRegistry) -> Dict[str, str]
     return {
         "result": _sha256(result),
         "trace": _sha256(trace_to_json(telemetry.trace)),
+        "metrics": metrics_digest(telemetry),
     }
 
 
