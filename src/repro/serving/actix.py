@@ -199,15 +199,15 @@ class EtudeInferenceServer:
         self._tenant_queued: Optional[Dict[str, int]] = None
         self._tenant_entitlement: Dict[str, float] = {}
         if tenants is not None:
-            self._tenant_queued = {name: 0 for name in tenants}
-            self.shed_by_tenant = {name: 0 for name in tenants}
+            self._tenant_queued = dict.fromkeys(tenants, 0)
+            self.shed_by_tenant = dict.fromkeys(tenants, 0)
             primary_weight = sum(
                 serving.config.weight
                 for serving in tenants.values()
                 if not serving.config.shadow
             )
-            for name, serving in tenants.items():
-                self._tenant_entitlement[name] = (
+            for tenant, serving in tenants.items():
+                self._tenant_entitlement[tenant] = (
                     0.0
                     if serving.config.shadow or primary_weight <= 0
                     else serving.config.weight / primary_weight
