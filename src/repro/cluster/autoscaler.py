@@ -91,11 +91,15 @@ class HorizontalPodAutoscaler:
                 "autoscaler_observed_queue_per_pod", unit="requests",
                 help="mean per-pod queue depth at the last control tick",
             )
-            self._scale_up_counter = metrics.counter(
-                "autoscaler_scale_ups_total", unit="events",
+            metrics.counter(
+                "autoscaler_scale_ups_total",
+                fn=lambda: sum(e.direction == "up" for e in self.events),
+                unit="events",
             )
-            self._scale_down_counter = metrics.counter(
-                "autoscaler_scale_downs_total", unit="events",
+            metrics.counter(
+                "autoscaler_scale_downs_total",
+                fn=lambda: sum(e.direction == "down" for e in self.events),
+                unit="events",
             )
 
     def start(self) -> None:
@@ -136,8 +140,6 @@ class HorizontalPodAutoscaler:
 
             if desired > current:
                 self._low_pressure_streak = 0
-                if self.telemetry is not None:
-                    self._scale_up_counter.inc()
                 for _new in range(desired - current):
                     self._starting_pods.append(self.cluster.add_pod(self.deployment))
                 self.events.append(
@@ -155,8 +157,6 @@ class HorizontalPodAutoscaler:
                     self._low_pressure_streak = 0
                     removed = self.cluster.remove_pod(self.deployment)
                     if removed is not None:
-                        if self.telemetry is not None:
-                            self._scale_down_counter.inc()
                         self.events.append(
                             ScalingEvent(
                                 time=self.cluster.simulator.now,

@@ -284,6 +284,7 @@ class ChaosSchedule:
             service=service,
             servers=servers,
             telemetry=telemetry,
+            kinds=[event.kind for event in self.events],
         )
         origin = simulator.now if start_at is None else start_at
         for event in self.events:
@@ -347,7 +348,10 @@ class ChaosController:
         service: Optional["ClusterIPService"] = None,
         servers: Optional[Sequence["EtudeInferenceServer"]] = None,
         telemetry: Optional["Telemetry"] = None,
+        kinds: Sequence[str] = (),
     ):
+        """``kinds`` are the event kinds the schedule holds: each gets its
+        ``chaos_events_total`` counter when the run is traced."""
         self.simulator = simulator
         self.cluster = cluster
         self.deployment = deployment
@@ -359,8 +363,29 @@ class ChaosController:
         #: Zone outages with their victim pod names, for the availability
         #: section's time-to-recovery accounting.
         self.zone_outages: List[Dict] = []
-        self._counters: Dict[str, object] = {}
         self._next_chaos_trace_id = -1
+        if telemetry is None:
+            return
+        metrics = telemetry.metrics
+        for kind in dict.fromkeys(kinds):
+            metrics.counter(
+                "chaos_events_total",
+                fn=lambda kind=kind: sum(e["kind"] == kind for e in self.fired),
+                unit="events", labels={"kind": kind},
+                help="chaos-schedule events fired during the run",
+            )
+        if ZoneOutage.kind in kinds:
+            # An outage of a zone that hosts no pod is logged, not counted.
+            metrics.counter(
+                "availability_zone_outages_total",
+                fn=lambda: sum(bool(o["pods"]) for o in self.zone_outages),
+                unit="events", help="correlated zone-outage events injected",
+            )
+            metrics.counter(
+                "availability_pods_lost_total",
+                fn=lambda: sum(len(o["pods"]) for o in self.zone_outages),
+                unit="pods", help="pods crashed by zone outages",
+            )
 
     # -- target helpers -----------------------------------------------------
 
@@ -451,37 +476,16 @@ class ChaosController:
                 "restart_after_s": restart_after_s,
             }
         )
-        if self.telemetry is not None and names:
-            self.telemetry.metrics.counter(
-                "availability_zone_outages_total",
-                unit="events",
-                help="correlated zone-outage events injected",
-            ).inc()
-            self.telemetry.metrics.counter(
-                "availability_pods_lost_total",
-                unit="pods",
-                help="pods crashed by zone outages",
-            ).inc(len(names))
         return names
 
     # -- bookkeeping --------------------------------------------------------
 
     def note(self, event: ChaosEvent, **detail) -> None:
-        """Log a fired event, bump its counter, record a run-level span."""
+        """Log a fired event and record its run-level span."""
         at = self.simulator.now
         self.fired.append({"at_s": at, "kind": event.kind, **detail})
         if self.telemetry is None:
             return
-        counter = self._counters.get(event.kind)
-        if counter is None:
-            counter = self.telemetry.metrics.counter(
-                "chaos_events_total",
-                unit="events",
-                labels={"kind": event.kind},
-                help="chaos-schedule events fired during the run",
-            )
-            self._counters[event.kind] = counter
-        counter.inc()
         trace = self.telemetry.trace
         trace.record(
             event.span_name or f"chaos_{event.kind}",

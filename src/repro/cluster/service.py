@@ -150,18 +150,17 @@ class ClusterIPService:
         #: One-way pod legs that crossed a zone boundary (request and
         #: response directions count separately).
         self.cross_zone_legs = 0
-        self._cross_zone_counter = None
         #: Optional telemetry handle; None = zero overhead.
         self.telemetry = telemetry
-        self._ejected_counter = None
         if telemetry is not None:
             metrics = telemetry.metrics
-            self._routed_counter = metrics.counter(
-                "service_routed_total", unit="requests",
-                help="requests forwarded to a ready pod",
+            metrics.counter(
+                "service_routed_total", fn=lambda: self.routed,
+                unit="requests", help="requests forwarded to a ready pod",
             )
-            self._rejected_counter = metrics.counter(
-                "service_rejected_no_backend_total", unit="requests",
+            metrics.counter(
+                "service_rejected_no_backend_total",
+                fn=lambda: self.rejected_no_backend, unit="requests",
                 help="503s answered because no pod was in rotation",
             )
             metrics.gauge(
@@ -171,13 +170,15 @@ class ClusterIPService:
                 help="pods currently in the ClusterIP rotation",
             )
             if routing is not None and routing.eject_after is not None:
-                self._ejected_counter = metrics.counter(
-                    "pod_ejected_total", unit="ejections",
+                metrics.counter(
+                    "pod_ejected_total", fn=lambda: self.ejections,
+                    unit="ejections",
                     help="pods ejected from rotation by the outlier breaker",
                 )
             if self._zones > 1:
-                self._cross_zone_counter = metrics.counter(
-                    "availability_cross_zone_legs_total", unit="legs",
+                metrics.counter(
+                    "availability_cross_zone_legs_total",
+                    fn=lambda: self.cross_zone_legs, unit="legs",
                     help="one-way pod legs that crossed a zone boundary",
                 )
         # Scatter-gather front for sharded deployments. None on S=1: the
@@ -225,11 +226,6 @@ class ClusterIPService:
             return 0.0
         return self.CROSS_ZONE_EXTRA_S
 
-    def _note_cross_zone(self, legs: int = 1) -> None:
-        self.cross_zone_legs += legs
-        if self._cross_zone_counter is not None:
-            self._cross_zone_counter.inc(legs)
-
     def _pod_network_delay(self, pod: Pod) -> float:
         """One network leg to/from a specific pod, zone charged honestly.
 
@@ -243,7 +239,7 @@ class ClusterIPService:
             + network.extra_latency_s
         )
         if self._zones > 1 and pod.zone != self.home_zone:
-            self._note_cross_zone()
+            self.cross_zone_legs += 1
             return delay + self.CROSS_ZONE_EXTRA_S
         return delay
 
@@ -348,8 +344,6 @@ class ClusterIPService:
             if not already_out:
                 self.ejections += 1
                 if self.telemetry is not None:
-                    if self._ejected_counter is not None:
-                        self._ejected_counter.inc()
                     self._service_span(
                         "pod_ejected",
                         pod=pod.name,
@@ -390,8 +384,6 @@ class ClusterIPService:
                 "no ready pods; wait for the deployment's readiness signal"
             )
         self.routed += 1
-        if self.telemetry is not None:
-            self._routed_counter.inc()
         self.simulator.call_in(
             self._network_delay(),
             partial(
@@ -446,8 +438,6 @@ class ClusterIPService:
             # directions are charged"), and the rejection is traced like a
             # routed request so it shows up in span exports.
             self.rejected_no_backend += 1
-            if self.telemetry is not None:
-                self._rejected_counter.inc()
 
             def arrive() -> None:
                 if self.telemetry is not None:
@@ -493,8 +483,6 @@ class ClusterIPService:
         else:
             pod = self._select_pod(pods)
         self.routed += 1
-        if self.telemetry is not None:
-            self._routed_counter.inc()
 
         def respond_via_network(response: RecommendationResponse) -> None:
             if self.routing is not None:
@@ -603,7 +591,7 @@ class _ShardRoute:
                 respond(response)
 
         if extra > 0.0:
-            service._note_cross_zone(2)
+            service.cross_zone_legs += 2
             simulator.call_in(
                 extra,
                 lambda: pod.server.submit(sub_request, observe_and_respond),

@@ -100,8 +100,6 @@ class _Call:
                 generator.retry_successes += 1
             elif policy.retryable(response.status):
                 generator.retry_exhausted += 1
-                if generator.telemetry is not None:
-                    generator._retry_exhausted_counter.inc()
             # End-to-end latency spans all attempts, not just the last
             # wire exchange (the service stamps from first send, but a
             # bare-server submit target may not).
@@ -133,7 +131,6 @@ class _Call:
         generator.pending -= 1
         generator.timeouts += 1
         if self.root_span is not None:
-            generator._timeout_counter.inc()
             self.root_span.finish(status=HTTP_GATEWAY_TIMEOUT)
         if self.hedge_span is not None:
             self._settle_spans(HTTP_GATEWAY_TIMEOUT)
@@ -222,29 +219,34 @@ class LoadGenerator:
                 "loadgen_pending", fn=lambda: self.pending, unit="requests",
                 help="in-flight requests awaiting a response or timeout",
             )
-            self._sent_counter = metrics.counter(
-                "loadgen_sent_total", unit="requests",
+            metrics.counter(
+                "loadgen_sent_total", fn=lambda: self.sent, unit="requests",
                 help="requests handed to the submit target",
             )
-            self._timeout_counter = metrics.counter(
-                "loadgen_timeouts_total", unit="requests",
+            metrics.counter(
+                "loadgen_timeouts_total", fn=lambda: self.timeouts,
+                unit="requests",
                 help="requests abandoned client-side after request_timeout_s",
             )
-            self._stall_counter = metrics.counter(
-                "loadgen_backpressure_stalls_total", unit="stalls",
+            metrics.counter(
+                "loadgen_backpressure_stalls_total",
+                fn=lambda: self.backpressure_stalls, unit="stalls",
                 help="1 ms backpressure pauses (Algorithm 2 line 12)",
             )
             if retry_policy is not None:
-                self._retry_counter = metrics.counter(
-                    "loadgen_retries_total", unit="requests",
+                metrics.counter(
+                    "loadgen_retries_total", fn=lambda: self.retries,
+                    unit="requests",
                     help="retry attempts after a retryable error response",
                 )
-                self._hedge_counter = metrics.counter(
-                    "loadgen_hedges_total", unit="requests",
+                metrics.counter(
+                    "loadgen_hedges_total", fn=lambda: self.hedges,
+                    unit="requests",
                     help="hedged duplicate requests sent after hedge_after_s",
                 )
-                self._retry_exhausted_counter = metrics.counter(
-                    "loadgen_retry_exhausted_total", unit="requests",
+                metrics.counter(
+                    "loadgen_retry_exhausted_total",
+                    fn=lambda: self.retry_exhausted, unit="requests",
                     help="requests that stayed failed after the retry budget",
                 )
 
@@ -274,7 +276,6 @@ class LoadGenerator:
 
         root_span = None
         if self.telemetry is not None:
-            self._sent_counter.inc()
             root_span = self.telemetry.trace.begin(
                 "request", request.request_id, session_id=int(session_id)
             )
@@ -301,7 +302,6 @@ class LoadGenerator:
         delay = self.retry_policy.backoff_s(attempt, self.retry_rng)
         backoff_span = None
         if self.telemetry is not None:
-            self._retry_counter.inc()
             backoff_span = self.telemetry.trace.begin(
                 "retry_backoff",
                 call.request.request_id,
@@ -340,7 +340,6 @@ class LoadGenerator:
         )
         self._next_request_id += 1
         if self.telemetry is not None:
-            self._hedge_counter.inc()
             call.hedge_span = self.telemetry.trace.begin(
                 "request",
                 hedge.request_id,
@@ -383,8 +382,6 @@ class LoadGenerator:
                         stalls += 1
                         poll += wait_s
                     self.backpressure_stalls += stalls
-                    if self.telemetry is not None:
-                        self._stall_counter.inc(stalls)
                     yield At(poll)
                 if stalled or self.simulator.now >= deadline:
                     break

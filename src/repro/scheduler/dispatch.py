@@ -68,6 +68,21 @@ class QueryDispatcher:
         # Run-lifetime tallies.
         self.routed = {ROUTE_CPU: 0, ROUTE_GPU: 0}
         self.offloaded = {REASON_TIGHT: 0, REASON_SHORT: 0}
+        if telemetry is not None:
+            for route in self.routed:
+                telemetry.metrics.counter(
+                    "scheduler_routed_total",
+                    fn=lambda route=route: self.routed[route],
+                    labels={"route": route},
+                    help="Requests dispatched per pod class.",
+                )
+            for reason in self.offloaded:
+                telemetry.metrics.counter(
+                    "scheduler_offload_total",
+                    fn=lambda reason=reason: self.offloaded[reason],
+                    labels={"reason": reason},
+                    help="Requests steered off the GPU batch path.",
+                )
         # Per-epoch feedback for the tuner (reset by epoch_snapshot()).
         self._epoch_digests = {
             ROUTE_CPU: LatencyDigest(),
@@ -105,17 +120,6 @@ class QueryDispatcher:
         if route is ROUTE_CPU and reason in self.offloaded:
             self.offloaded[reason] += 1
         if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "scheduler_routed_total",
-                labels={"route": route},
-                help="Requests dispatched per pod class.",
-            ).inc()
-            if reason in self.offloaded:
-                self.telemetry.metrics.counter(
-                    "scheduler_offload_total",
-                    labels={"reason": reason},
-                    help="Requests steered off the GPU batch path.",
-                ).inc()
             self.telemetry.trace.record(
                 "sched_route", request.request_id, now, now,
                 route=route, reason=reason or "batchable",

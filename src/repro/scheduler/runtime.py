@@ -17,7 +17,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.dispatch import QueryDispatcher
-from repro.scheduler.tuner import EpochObservation, HillClimbTuner
+from repro.scheduler.tuner import KNOBS, EpochObservation, HillClimbTuner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.kubernetes import ModelDeployment
@@ -49,6 +49,21 @@ class SchedulerRuntime:
         self._next_trace_id = _TUNE_TRACE_ID_START
         self._last_flushes = 0
         self._last_batched = 0
+        if telemetry is not None and tuner is not None:
+            metrics = telemetry.metrics
+            metrics.counter(
+                "scheduler_tune_epochs_total", fn=lambda: tuner.epochs,
+                help="tuning epochs evaluated by the scheduler",
+            )
+            for knob in KNOBS:
+                metrics.counter(
+                    "scheduler_tune_moves_total",
+                    fn=lambda knob=knob: sum(
+                        entry["moved"] == knob for entry in tuner.history
+                    ),
+                    labels={"knob": knob},
+                    help="knob adjustments made by the hill-climbing tuner",
+                )
 
     # -- fleet views ----------------------------------------------------------
 
@@ -110,16 +125,6 @@ class SchedulerRuntime:
 
     def _emit(self, observation: EpochObservation, moved: Optional[str]) -> None:
         metrics = self.telemetry.metrics
-        metrics.counter(
-            "scheduler_tune_epochs_total",
-            help="tuning epochs evaluated by the scheduler",
-        ).inc()
-        if moved is not None:
-            metrics.counter(
-                "scheduler_tune_moves_total",
-                labels={"knob": moved},
-                help="knob adjustments made by the hill-climbing tuner",
-            ).inc()
         metrics.gauge(
             "scheduler_max_batch", unit="requests",
             help="current tuned GPU max batch size",

@@ -49,6 +49,9 @@ SHORT_SESSION_CAP = 32
 #: of the current cap — growing the cap is then worth trying.
 SATURATION_FRACTION = 0.9
 
+#: The knobs a step can move, as it names them.
+KNOBS = ("max_batch", "linger_s", "short_session")
+
 
 class EpochObservation:
     """What the tuner sees about one elapsed epoch."""

@@ -152,8 +152,6 @@ class EtudeInferenceServer:
         self.shed_queue_full = 0
         #: Degraded 200s served by the fallback tier.
         self.degraded_served = 0
-        self._shed_counters: Dict[str, object] = {}
-        self._fallback_counter = None
         #: Session-prefix result cache + singleflight (default-off;
         #: ``docs/caching.md``). ``None`` — the contractual off state —
         #: whenever the profile has no config or a zero-capacity one.
@@ -182,8 +180,6 @@ class EtudeInferenceServer:
         )
         self.ann_queries = 0
         self.ann_probed_lists = 0
-        self._ann_query_counter = None
-        self._ann_probe_counter = None
         #: Co-located tenant fleet (default-off; ``docs/tenancy.md``).
         #: ``None`` — the contractual off state — keeps every path below
         #: bit-identical to the single-model server. Enabled, each request
@@ -215,14 +211,34 @@ class EtudeInferenceServer:
         if telemetry is not None:
             labels = {"server": name}
             metrics = telemetry.metrics
-            self._completed_counter = metrics.counter(
-                "server_completed_total", unit="requests", labels=labels,
+            metrics.counter(
+                "server_completed_total", fn=lambda: self.completed,
+                unit="requests", labels=labels,
                 help="responses served with HTTP 200",
             )
-            self._rejected_counter = metrics.counter(
-                "server_rejected_total", unit="requests", labels=labels,
+            metrics.counter(
+                "server_rejected_total", fn=lambda: self.rejected,
+                unit="requests", labels=labels,
                 help="requests shed at intake (queue full or unhealthy)",
             )
+            sheds = {"queue_full": lambda: self.shed_queue_full}
+            if self.admission is not None:
+                sheds["deadline"] = lambda: self.shed_deadline
+                sheds["codel"] = lambda: self.shed_codel
+            if tenants is not None:
+                sheds["tenant_fair"] = lambda: self.shed_tenant_fair
+            for reason, shed in sheds.items():
+                metrics.counter(
+                    "admission_shed_total", fn=shed, unit="requests",
+                    labels={"server": name, "reason": reason},
+                    help="requests shed by overload protection, by reason",
+                )
+            if self._fallback_model is not None:
+                metrics.counter(
+                    "fallback_served_total", fn=lambda: self.degraded_served,
+                    unit="requests", labels=labels,
+                    help="degraded 200s answered by the fallback tier",
+                )
             self._batch_size_hist = metrics.histogram(
                 "server_batch_size", unit="requests", labels=labels,
                 help="requests per executed batch (1 on the CPU path)",
@@ -236,39 +252,46 @@ class EtudeInferenceServer:
                 unit="workers", labels=labels,
                 help="CPU worker threads currently executing an inference",
             )
-            if self.cache is not None:
-                self._cache_hit_counters = {
-                    tier: metrics.counter(
-                        "cache_hit_total", unit="requests",
+            cache = self.cache
+            if cache is not None:
+                hits = {
+                    "local": lambda: cache.hits_local,
+                    "remote": lambda: cache.hits_remote,
+                }
+                for tier, hit in hits.items():
+                    metrics.counter(
+                        "cache_hit_total", fn=hit, unit="requests",
                         labels={"server": name, "tier": tier},
                         help="requests answered from the result cache, by tier",
                     )
-                    for tier in ("local", "remote")
-                }
-                self._cache_miss_counter = metrics.counter(
-                    "cache_miss_total", unit="requests", labels=labels,
+                metrics.counter(
+                    "cache_miss_total", fn=lambda: cache.misses,
+                    unit="requests", labels=labels,
                     help="requests that led a fresh model computation",
                 )
-                self._cache_coalesced_counter = metrics.counter(
-                    "cache_coalesced_total", unit="requests", labels=labels,
+                metrics.counter(
+                    "cache_coalesced_total", fn=lambda: cache.coalesced,
+                    unit="requests", labels=labels,
                     help="requests parked behind an in-flight computation",
                 )
                 metrics.gauge(
-                    "cache_entries", fn=self.cache.local_size, unit="entries",
+                    "cache_entries", fn=cache.local_size, unit="entries",
                     labels=labels, help="entries in the local cache tier",
                 )
                 metrics.gauge(
-                    "cache_in_flight", fn=self.cache.in_flight, unit="keys",
+                    "cache_in_flight", fn=cache.in_flight, unit="keys",
                     labels=labels,
                     help="unique keys with a computation currently in flight",
                 )
             if self.retrieval is not None:
-                self._ann_query_counter = metrics.counter(
-                    "ann_query_total", unit="queries", labels=labels,
+                metrics.counter(
+                    "ann_query_total", fn=lambda: self.ann_queries,
+                    unit="queries", labels=labels,
                     help="inferences answered through the ANN index probe",
                 )
-                self._ann_probe_counter = metrics.counter(
-                    "ann_probed_lists_total", unit="lists", labels=labels,
+                metrics.counter(
+                    "ann_probed_lists_total", fn=lambda: self.ann_probed_lists,
+                    unit="lists", labels=labels,
                     help="inverted lists visited across all ANN queries",
                 )
 
@@ -313,8 +336,6 @@ class EtudeInferenceServer:
             # Crashed pod: the connection is refused — no Actix handling
             # runs, so the rejection is free (unlike live sheds below).
             self.rejected += 1
-            if self.telemetry is not None:
-                self._rejected_counter.inc()
             self._fail(request, respond)
             return
         # The cache front runs *before* admission: a hit (or a coalesced
@@ -416,7 +437,6 @@ class EtudeInferenceServer:
         if cache.flight_exists(key):
             cache.join_flight(key, (request, respond, now))
             if self.telemetry is not None:
-                self._cache_coalesced_counter.inc()
                 trace = self.telemetry.trace
                 trace.record("sent", request.request_id, request.sent_at, now)
                 self._coalesced_spans[request.request_id] = trace.begin(
@@ -425,8 +445,6 @@ class EtudeInferenceServer:
             return True
         cache.begin_flight(key)
         self._flight_keys[request.request_id] = key
-        if self.telemetry is not None:
-            self._cache_miss_counter.inc()
         if cache.remote is not None:
             rtt = self._remote_hop.sample_round_trip(self._jitter)
             if self.telemetry is not None:
@@ -485,7 +503,6 @@ class EtudeInferenceServer:
             if joined_at is None:
                 # A follower recorded its ``sent`` span at intake.
                 trace.record("sent", request.request_id, request.sent_at, now)
-                self._cache_hit_counters[tier].inc()
             else:
                 self._coalesced_spans.pop(request.request_id).finish(at=now)
             trace.record(
@@ -522,8 +539,6 @@ class EtudeInferenceServer:
             )
         )
         self.completed += 1
-        if self.telemetry is not None:
-            self._completed_counter.inc()
 
     def _resolve_flight_ok(self, request: RecommendationRequest, payload) -> None:
         """Leader inference finished: fill the tiers, answer followers.
@@ -568,8 +583,6 @@ class EtudeInferenceServer:
                 )
             else:
                 self.rejected += 1
-                if self.telemetry is not None:
-                    self._rejected_counter.inc()
                 self._fail(waiter, waiter_respond, charge_overhead=True)
 
     # -- overload protection (all default-off) ------------------------------
@@ -601,15 +614,6 @@ class EtudeInferenceServer:
                 self.shed_by_tenant.get(request.tenant, 0) + 1
             )
         if self.telemetry is not None:
-            counter = self._shed_counters.get(reason)
-            if counter is None:
-                counter = self.telemetry.metrics.counter(
-                    "admission_shed_total", unit="requests",
-                    labels={"server": self.name, "reason": reason},
-                    help="requests shed by overload protection, by reason",
-                )
-                self._shed_counters[reason] = counter
-            counter.inc()
             span = self._queued_spans.pop(request.request_id, None)
             if span is not None:
                 span.finish(shed=reason)
@@ -617,8 +621,6 @@ class EtudeInferenceServer:
             self._serve_degraded(request, respond, reason, queue_s=queue_s)
             return
         self.rejected += 1
-        if self.telemetry is not None:
-            self._rejected_counter.inc()
         self._fail(request, respond, charge_overhead=True)
 
     def _serve_degraded(
@@ -633,13 +635,6 @@ class EtudeInferenceServer:
         tier = self._fallback_model
         budget = self.profile.fallback.budget_s
         if self.telemetry is not None:
-            if self._fallback_counter is None:
-                self._fallback_counter = self.telemetry.metrics.counter(
-                    "fallback_served_total", unit="requests",
-                    labels={"server": self.name},
-                    help="degraded 200s answered by the fallback tier",
-                )
-            self._fallback_counter.inc()
             now = self.simulator.now
             self.telemetry.trace.record(
                 "fallback_served", request.request_id, now, now + budget,
@@ -857,8 +852,6 @@ class EtudeInferenceServer:
                 )
             )
             self.completed += 1
-            if self.telemetry is not None:
-                self._completed_counter.inc()
             status = HTTP_OK
         else:
             self._resolve_flight_fail(request, crashed=True)
@@ -1149,8 +1142,6 @@ class EtudeInferenceServer:
         nprobe = self.retrieval.nprobe
         self.ann_probed_lists += nprobe
         if self.telemetry is not None:
-            self._ann_query_counter.inc()
-            self._ann_probe_counter.inc(nprobe)
             self.telemetry.trace.record(
                 "retrieval_probe", request_id, started, started + duration_s,
                 nlist=self.retrieval.nlist or 0,

@@ -113,21 +113,19 @@ class ScatterGatherAggregator:
         self.coverage_sum = 0.0
         self.min_coverage = 1.0
 
-        self._fanout_counter = None
-        self._partial_counter = None
-        self._failed_counter = None
         if telemetry is not None:
             metrics = telemetry.metrics
-            self._fanout_counter = metrics.counter(
-                "shard_fanout_total",
+            metrics.counter(
+                "shard_fanout_total", fn=lambda: self.fanouts,
                 help="Requests scattered to all shards",
             )
-            self._partial_counter = metrics.counter(
+            metrics.counter(
                 "shard_partial_responses_total",
+                fn=lambda: self.partial_responses,
                 help="Merged 200s with partial catalog coverage",
             )
-            self._failed_counter = metrics.counter(
-                "shard_failed_fanouts_total",
+            metrics.counter(
+                "shard_failed_fanouts_total", fn=lambda: self.failed_fanouts,
                 help="Fan-outs answered 503 (no usable shard leg)",
             )
 
@@ -147,8 +145,6 @@ class ScatterGatherAggregator:
         simulator = self.simulator
         now = simulator.now
         self.fanouts += 1
-        if self._fanout_counter is not None:
-            self._fanout_counter.inc()
         state = _Fanout(request, respond, self.config.shards)
         if self.telemetry is not None:
             self.telemetry.trace.record(
@@ -281,8 +277,6 @@ class ScatterGatherAggregator:
         self.min_coverage = min(self.min_coverage, coverage)
         if partial_coverage:
             self.partial_responses += 1
-            if self._partial_counter is not None:
-                self._partial_counter.inc()
         state.respond(
             RecommendationResponse(
                 request_id=request.request_id,
@@ -305,8 +299,6 @@ class ScatterGatherAggregator:
         self, request: RecommendationRequest, now: float
     ) -> RecommendationResponse:
         self.failed_fanouts += 1
-        if self._failed_counter is not None:
-            self._failed_counter.inc()
         return RecommendationResponse(
             request_id=request.request_id,
             status=HTTP_SERVICE_UNAVAILABLE,

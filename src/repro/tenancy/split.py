@@ -48,6 +48,10 @@ if TYPE_CHECKING:
 #: and flight-table entries never collide with client request ids.
 SHADOW_ID_BASE = 1 << 40
 
+#: The ``arm`` that ``tenant_route`` spans and ``tenant_requests_total``
+#: give a mirrored copy.
+ARM_SHADOW = "shadow"
+
 SubmitFn = Callable[[RecommendationRequest, ResponseCallback], None]
 
 
@@ -132,18 +136,45 @@ class TrafficSplitter:
         }
         #: In-flight client requests by tenant (gauge timeline source).
         self._pending: Dict[str, int] = {t.name: 0 for t in self._primaries}
-        self._route_counters: Dict[tuple, object] = {}
-        self._shed_counters: Dict[str, object] = {}
-        self._mirror_counters: Dict[str, object] = {}
-        if telemetry is not None:
-            for tenant in self._primaries:
-                telemetry.metrics.gauge(
-                    "tenant_pending",
-                    fn=lambda name=tenant.name: self._pending[name],
-                    unit="requests",
-                    labels={"tenant": tenant.name},
-                    help="client requests in flight, by tenant",
+        if telemetry is None:
+            return
+        metrics = telemetry.metrics
+        # (tenant, arm, what its ``tenant_requests_total`` reads)
+        routes = []
+        for tenant in self._primaries:
+            tally = self.tallies[tenant.name]
+            labels = {"tenant": tenant.name}
+            metrics.gauge(
+                "tenant_pending",
+                fn=lambda name=tenant.name: self._pending[name],
+                unit="requests", labels=labels,
+                help="client requests in flight, by tenant",
+            )
+            metrics.counter(
+                "tenant_errors_total", fn=lambda t=tally: t.errors,
+                unit="requests", labels=labels,
+                help="client-visible non-200s, by tenant",
+            )
+            stable = lambda t=tally: t.requests - t.canary_requests
+            routes.append((tenant.name, ARM_STABLE, stable))
+            if tenant.canary_fraction > 0:
+                routes.append(
+                    (tenant.name, ARM_CANARY, lambda t=tally: t.canary_requests)
                 )
+        for shadow in config.shadows:
+            mirrored = lambda name=shadow.name: self.shadow_mirrored[name]
+            metrics.counter(
+                "tenant_shadow_mirrored_total", fn=mirrored, unit="requests",
+                labels={"tenant": shadow.name},
+                help="client requests mirrored to the shadow tenant",
+            )
+            routes.append((shadow.name, ARM_SHADOW, mirrored))
+        for name, arm, routed in routes:
+            metrics.counter(
+                "tenant_requests_total", fn=routed, unit="requests",
+                labels={"tenant": name, "arm": arm},
+                help="requests routed, by tenant and traffic arm",
+            )
 
     # -- routing -----------------------------------------------------------
 
@@ -202,16 +233,6 @@ class TrafficSplitter:
         def observed(response: RecommendationResponse) -> None:
             self._pending[name] -= 1
             self.tallies[name].record(response)
-            if response.status != HTTP_OK and self.telemetry is not None:
-                counter = self._shed_counters.get(name)
-                if counter is None:
-                    counter = self.telemetry.metrics.counter(
-                        "tenant_errors_total", unit="requests",
-                        labels={"tenant": name},
-                        help="client-visible non-200s, by tenant",
-                    )
-                    self._shed_counters[name] = counter
-                counter.inc()
             respond(response)
 
         return observed
@@ -235,17 +256,7 @@ class TrafficSplitter:
         if shadow.slo_ms is not None:
             copy.deadline_s = copy.sent_at + shadow.slo_ms / 1000.0
         self.shadow_mirrored[shadow.name] += 1
-        self._note_route(copy, shadow.name, "shadow")
-        if self.telemetry is not None:
-            counter = self._mirror_counters.get(shadow.name)
-            if counter is None:
-                counter = self.telemetry.metrics.counter(
-                    "tenant_shadow_mirrored_total", unit="requests",
-                    labels={"tenant": shadow.name},
-                    help="client requests mirrored to the shadow tenant",
-                )
-                self._mirror_counters[shadow.name] = counter
-            counter.inc()
+        self._note_route(copy, shadow.name, ARM_SHADOW)
 
         def swallow(response: RecommendationResponse) -> None:
             # Scored, never returned: the client callback is never invoked
@@ -265,15 +276,6 @@ class TrafficSplitter:
         self.telemetry.trace.record(
             "tenant_route", request.request_id, now, now, tenant=name, arm=arm
         )
-        counter = self._route_counters.get((name, arm))
-        if counter is None:
-            counter = self.telemetry.metrics.counter(
-                "tenant_requests_total", unit="requests",
-                labels={"tenant": name, "arm": arm},
-                help="requests routed, by tenant and traffic arm",
-            )
-            self._route_counters[(name, arm)] = counter
-        counter.inc()
 
     # -- reporting ---------------------------------------------------------
 

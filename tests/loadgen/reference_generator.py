@@ -2,8 +2,10 @@
 event per backpressure poll.
 
 Kept verbatim as the reference that ``test_poll_elision_differential.py``
-checks the production generator against. ``ReferenceLoadGenerator``
-overrides only ``_run``; everything else is the production generator's.
+checks the production generator against, but for the stall counter's
+``inc``: the counter now reads ``backpressure_stalls`` itself.
+``ReferenceLoadGenerator`` overrides only ``_run``; everything else is the
+production generator's.
 It runs on ``tests/simulation/reference_simulator.py``;
 ``ReferenceSimulator`` adds the production ``cancel`` call on top, which
 the production request plumbing uses for its client timeouts.
@@ -36,8 +38,6 @@ class ReferenceLoadGenerator(LoadGenerator):
                         stalled = True
                         break
                     self.backpressure_stalls += 1
-                    if self.telemetry is not None:
-                        self._stall_counter.inc()
                     yield self.BACKPRESSURE_WAIT_S
                 if stalled or self.simulator.now >= deadline:
                     break

@@ -128,7 +128,9 @@ def execute(side, program):
     def state():
         stall_counter = None
         if telemetry is not None:
-            stall_counter = generator._stall_counter.value
+            stall_counter = telemetry.metrics.get(
+                "loadgen_backpressure_stalls_total"
+            ).value
         return (
             "state",
             repr(sim.now),

@@ -27,6 +27,17 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter("requests_total").inc(-1)
 
+    def test_callback_backed_reads_the_tally(self):
+        tally = {"sent": 0}
+        counter = Counter("requests_total", fn=lambda: tally["sent"])
+        tally["sent"] = 7
+        assert counter.value == 7.0 and type(counter.value) is float
+
+    def test_callback_backed_rejects_inc(self):
+        counter = Counter("requests_total", fn=lambda: 1)
+        with pytest.raises(ValueError, match="callback-backed"):
+            counter.inc()
+
 
 class TestGauge:
     def test_settable(self):
@@ -87,6 +98,40 @@ class TestRegistry:
         registry.counter("depth")
         with pytest.raises(ValueError):
             registry.gauge("depth")
+
+    def test_counter_callbacks_under_one_key_sum(self):
+        """Two actors of one name count as one, as a shared ``inc`` did."""
+        registry = MetricRegistry()
+        first, second = {"n": 342}, {"n": 1_000}
+        labels = {"server": "pod-restarted"}
+        counter = registry.counter(
+            "completed_total", fn=lambda: first["n"], labels=labels
+        )
+        again = registry.counter(
+            "completed_total", fn=lambda: second["n"], labels=labels
+        )
+        assert again is counter
+        second["n"] = 1_029
+        assert counter.value == 1_371
+        assert registry.snapshot() == {counter.key: 1_371}
+
+    def test_gauge_callback_under_one_key_reads_the_newest(self):
+        registry = MetricRegistry()
+        gauge = registry.gauge("queue_depth", fn=lambda: 5)
+        assert registry.gauge("queue_depth", fn=lambda: 2) is gauge
+        assert gauge.read() == 2
+
+    @pytest.mark.parametrize("kind", ["counter", "gauge"])
+    def test_manual_and_callback_under_one_key_raise(self, kind):
+        registry = MetricRegistry()
+        register = getattr(registry, kind)
+        register("manual")
+        register("backed", fn=lambda: 1)
+        with pytest.raises(ValueError, match="either manual or callback-backed"):
+            register("manual", fn=lambda: 1)
+        with pytest.raises(ValueError, match="either manual or callback-backed"):
+            register("backed")
+        assert register("manual") is registry.get("manual")
 
     def test_lookup_by_name_and_labels(self):
         registry = MetricRegistry()

@@ -8,9 +8,10 @@ and the GPU executor schedules a closure from ``_make_responder`` per
 response.
 
 Kept verbatim as the reference that ``test_wait_elision_differential.py``
-checks the production server against. ``ReferenceServer`` overrides
-only the intake, CPU worker and GPU executor, and adds the two
-completion methods; everything else is the production server's. It
+checks the production server against, but for the completion counter's
+``inc``: the counter now reads ``completed`` itself. ``ReferenceServer``
+overrides only the intake, CPU worker and GPU executor, and adds the
+two completion methods; everything else is the production server's. It
 runs on ``tests/simulation/reference_simulator.py``, whose handles
 cancel themselves, as these methods expect.
 
@@ -325,8 +326,6 @@ class ReferenceServer(EtudeInferenceServer):
             )
         )
         self.completed += 1
-        if self.telemetry is not None:
-            self._completed_counter.inc()
         return True
 
     def _make_responder(
