@@ -225,3 +225,43 @@ class TestEndToEnd:
         sent = telemetry.metrics.get("loadgen_sent_total")
         assert sent is not None
         assert sent.value == result.total
+
+
+class TestRestartedServerInstruments:
+    """A pod's second kubelet restart names its server ``<pod>-restarted``
+    again: the counters under that key sum both servers, and each gauge
+    reads the live one."""
+
+    SPEC = dict(
+        model="gru4rec", catalog_size=20_000, target_rps=200,
+        duration_s=45.0, seed=3, cache="capacity=1024",
+        chaos="crash@2:pod=0:restart=0,crash@22:pod=0:restart=0",
+    )
+
+    def test_gauges_read_the_live_server(self, deployments):
+        from repro.core import ExperimentRunner, ExperimentSpec
+        from repro.core.spec import HardwareSpec
+
+        telemetry = Telemetry()
+        spec = ExperimentSpec(hardware=HardwareSpec("GPU-T4", 2), **self.SPEC)
+        ExperimentRunner(seed=11).run(spec, telemetry=telemetry)
+        (deployment,) = deployments
+        _first, crashed, live = deployment.pods[0].servers
+        assert crashed.name == live.name
+        # Give the two servers of one name different live state.
+        for server, depth in ((crashed, 1), (live, 3)):
+            server._queue.extend([None] * depth)
+            server._active_workers = depth
+            server.cache._flights.update({("key", i): [] for i in range(depth)})
+        labels = {"server": live.name}
+
+        def read(name):
+            return telemetry.metrics.get(name, labels).value
+
+        assert read("server_queue_depth") == 3
+        assert read("server_active_workers") == 3
+        assert read("cache_in_flight") == 3
+        assert read("cache_entries") == live.cache.local_size() == 971
+        assert crashed.cache.local_size() == 329
+        assert read("server_completed_total") == 342 + 1_029
+        assert [crashed.completed, live.completed] == [342, 1_029]
