@@ -1,5 +1,6 @@
-"""The report sections of ``repro run``, ``repro infra-test`` and ``repro
-drill``: one feature-heavy command line per command, run in process.
+"""The report sections of ``repro run``, ``repro infra-test``, ``repro
+drill`` and ``repro plan --tenants``: one feature-heavy command line per
+command, run in process.
 
 Each test asserts the shape of every section its flags switch on (the
 labels, the fields and their order), not the numbers: the golden digests
@@ -179,3 +180,40 @@ class TestDrillReport:
             rf"  zones\[2\]: pods z0={N} z1={N}, {N} cross-zone legs, "
             rf"1 outage\(s\), TTR={F} s",
         )
+
+
+class TestFleetPlanReport:
+    def test_fleet_plan_and_standalone_baseline(self):
+        """At 15 s both tenants' ramps reach their rates, so each one alone
+        has a feasible plan and the baseline has a total. (At 10 s tenant
+        ``a``'s ramp peaks at 40 of its 45 rps, and its standalone plan
+        reads infeasible.)"""
+        code, text = report(
+            "plan", "--tenants", "a=stamp:3,slo=80;b=narm:1",
+            "--catalog", "2000", "--rps", "60", "--duration", "15",
+            "--max-replicas", "2",
+        )
+        assert code == 0
+        instance = r"(CPU|GPU-T4|GPU-A100)"
+        cost = r"\$[\d,]+"
+        head, rows, tail = (
+            [
+                r"fleet: fleet of 2: a\(stamp, 3, slo 80ms\), b\(narm, 1\)",
+                r"  catalog=2,000 target=60 req/s",
+                r"  Instance   Repl  Cost/month  per-tenant p90/slo \(ms\)",
+            ],
+            rf"  [ *]{instance} +{N} +{cost}  a={F}/80 b={F}",
+            [
+                r"  standalone baseline \(one deployment per tenant\):",
+                rf"    a: {instance} x{N} {cost}",
+                rf"    b: {instance} x{N} {cost}",
+                rf"    total {cost}",
+                rf"  co-location (saves|adds) {cost}/month vs isolated deployments",
+            ],
+        )
+        lines = text.splitlines()
+        options = lines[len(head):-len(tail)]
+        assert len(options) == 3
+        assert sum(line.startswith("  *") for line in options) == 1
+        for line, pattern in zip(lines, head + [rows] * len(options) + tail):
+            assert re.fullmatch(pattern, line), line
