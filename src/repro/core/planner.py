@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ann.config import RetrievalConfig
 from repro.cache.planning import estimate_hit_rate
@@ -93,6 +93,42 @@ def option_sort_key(option: DeploymentOption) -> Tuple:
         option.scheduler or "",
         option.tenants or "",
     )
+
+
+def search_replicas(
+    start: int,
+    floor: int,
+    ceiling: int,
+    measure: Callable[[int], Optional[RunResult]],
+    feasible: Callable[[int, RunResult], bool],
+) -> Optional[Tuple[int, RunResult]]:
+    """Both planners' search: ``(replicas, result)`` of the smallest
+    feasible count, or None.
+
+    Climbs from the analytic seed ``start`` to the first feasible count up
+    to ``ceiling``; when that is ``start`` itself, the seed may have
+    overshot, so it shrinks while the count below is feasible, down to
+    ``floor``. ``measure`` returns None for a count that cannot deploy,
+    which ends the climb and stops the shrink.
+    """
+    for replicas in range(start, ceiling + 1):
+        result = measure(replicas)
+        if result is None:
+            return None
+        if feasible(replicas, result):
+            break
+    else:
+        return None
+    if replicas > start:
+        # The climb measured replicas - 1 and found it infeasible; runs
+        # are hermetic, so measuring it again cannot change that.
+        return replicas, result
+    while replicas > floor:
+        candidate = measure(replicas - 1)
+        if candidate is None or not feasible(replicas - 1, candidate):
+            break
+        replicas, result = replicas - 1, candidate
+    return replicas, result
 
 
 @dataclass
@@ -361,29 +397,10 @@ class DeploymentPlanner:
             self.estimate_replicas(model, scenario, instance, shards, retrieval),
             floor,
         )
-        if start > self.max_replicas:
-            return None
-        retrieval_spec = (
-            retrieval.spec_string() if retrieval is not None else None
-        )
-        scheduler_spec = (
-            scheduler.spec_string() if scheduler is not None else None
-        )
-        cpu_replicas = scheduler.cpu_replicas if scheduler is not None else 0
 
-        def make_option(replicas: int, result: RunResult) -> DeploymentOption:
-            return DeploymentOption(
-                instance_type=instance.name,
-                replicas=replicas,
-                monthly_cost_usd=self._option_cost(
-                    instance, replicas, shards, scheduler
-                ),
-                result=result,
-                shards=shards,
-                retrieval=retrieval_spec,
-                scheduler=scheduler_spec,
-                cpu_replicas=cpu_replicas,
-                survives_zones=self.survive_zones or None,
+        def measure(replicas: int) -> Optional[RunResult]:
+            return self._measure(
+                model, scenario, instance, replicas, shards, retrieval, scheduler
             )
 
         def feasible(replicas: int, result: RunResult) -> bool:
@@ -398,34 +415,23 @@ class DeploymentPlanner:
                 scheduler,
             )
 
-        best: Optional[DeploymentOption] = None
-        replicas = start
-        while replicas <= self.max_replicas:
-            result = self._measure(
-                model, scenario, instance, replicas, shards, retrieval, scheduler
-            )
-            if result is None:
-                return None  # cannot even deploy (memory / unshardable head)
-            if feasible(replicas, result):
-                best = make_option(replicas, result)
-                break
-            replicas += 1
-        if best is None:
-            return None
-        if best.replicas > start:
-            # The climb measured best.replicas - 1 and found it infeasible;
-            # runs are hermetic, so measuring it again cannot change that.
-            return best
-        # The analytic seed can overshoot; try to shrink.
-        while best.replicas > floor:
-            candidate = self._measure(
-                model, scenario, instance, best.replicas - 1, shards, retrieval,
-                scheduler,
-            )
-            if candidate is None or not feasible(best.replicas - 1, candidate):
-                break
-            best = make_option(best.replicas - 1, candidate)
-        return best
+        found = search_replicas(start, floor, self.max_replicas, measure, feasible)
+        if found is None:
+            return None  # infeasible, or cannot even deploy (memory)
+        replicas, result = found
+        return DeploymentOption(
+            instance_type=instance.name,
+            replicas=replicas,
+            monthly_cost_usd=self._option_cost(
+                instance, replicas, shards, scheduler
+            ),
+            result=result,
+            shards=shards,
+            retrieval=retrieval.spec_string() if retrieval is not None else None,
+            scheduler=scheduler.spec_string() if scheduler is not None else None,
+            cpu_replicas=scheduler.cpu_replicas if scheduler is not None else 0,
+            survives_zones=self.survive_zones or None,
+        )
 
     def _measure(
         self,

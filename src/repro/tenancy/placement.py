@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.kubernetes import DeploymentError
-from repro.core.planner import DeploymentOption, DeploymentPlanner, option_sort_key
+from repro.core.planner import (
+    DeploymentOption,
+    DeploymentPlanner,
+    option_sort_key,
+    search_replicas,
+)
 from repro.core.spec import SLO, ExperimentSpec, HardwareSpec, Scenario
 from repro.hardware.device import CPU_RESERVE_BYTES, GPU_RESERVE_BYTES
 from repro.hardware.instances import INSTANCE_TYPES, InstanceType
@@ -252,63 +257,44 @@ class FleetPlanner:
         instance: InstanceType,
         plan: FleetPlan,
     ) -> Optional[DeploymentOption]:
-        start = replicas = self._seed_replicas(
-            tenancy, catalog_size, target_rps, instance
-        )
-        if replicas > self.max_replicas:
+        start = self._seed_replicas(tenancy, catalog_size, target_rps, instance)
+        if start > self.max_replicas:
             plan.infeasible[instance.name] = (
                 f"no feasible fleet within {self.max_replicas} replicas"
             )
             return None
-        best: Optional[DeploymentOption] = None
-        while replicas <= self.max_replicas:
+        errors: List[DeploymentError] = []
+
+        def measure(replicas: int):
             try:
-                result = self._measure(
+                return self._measure(
                     tenancy, catalog_size, target_rps, instance, replicas
                 )
             except DeploymentError as error:
                 # Budget exceeded: no replica count changes residency.
-                plan.infeasible[instance.name] = str(error)
+                errors.append(error)
                 return None
-            if self._meets_fleet_slo(tenancy, result):
-                best = DeploymentOption(
-                    instance_type=instance.name,
-                    replicas=replicas,
-                    monthly_cost_usd=instance.cost_for(replicas),
-                    result=result,
-                    tenants=tenancy.spec_string(),
-                )
-                break
-            replicas += 1
-        if best is None:
+
+        found = search_replicas(
+            start, 1, self.max_replicas, measure,
+            lambda _replicas, result: self._meets_fleet_slo(tenancy, result),
+        )
+        if found is None:
             plan.infeasible[instance.name] = (
-                f"no replica count within {self.max_replicas} meets every "
-                "tenant's SLO"
+                str(errors[0])
+                if errors
+                else f"no replica count within {self.max_replicas} meets "
+                "every tenant's SLO"
             )
             return None
-        if best.replicas > start:
-            # The climb measured best.replicas - 1 and found it infeasible;
-            # runs are hermetic, so measuring it again cannot change that.
-            return best
-        # The analytic seed can overshoot; try to shrink.
-        while best.replicas > 1:
-            try:
-                result = self._measure(
-                    tenancy, catalog_size, target_rps, instance,
-                    best.replicas - 1,
-                )
-            except DeploymentError:
-                break
-            if not self._meets_fleet_slo(tenancy, result):
-                break
-            best = DeploymentOption(
-                instance_type=instance.name,
-                replicas=best.replicas - 1,
-                monthly_cost_usd=instance.cost_for(best.replicas - 1),
-                result=result,
-                tenants=tenancy.spec_string(),
-            )
-        return best
+        replicas, result = found
+        return DeploymentOption(
+            instance_type=instance.name,
+            replicas=replicas,
+            monthly_cost_usd=instance.cost_for(replicas),
+            result=result,
+            tenants=tenancy.spec_string(),
+        )
 
     # -- the isolated baseline ---------------------------------------------
 
