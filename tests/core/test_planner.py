@@ -232,3 +232,43 @@ class TestFleetClimbDoesNotRemeasure:
         assert measured == [1, 2]  # the search used to measure [1, 2, 1]
         (option,) = plan.options
         assert (option.instance_type, option.replicas) == ("CPU", 2)
+
+
+class TestFleetInfeasibleReasons:
+    """Why an instance type has no co-located fleet, in the planner's
+    words: the seed already over the cap, a deployment the instance
+    cannot hold, or no count up to the cap that meets every SLO."""
+
+    @pytest.mark.parametrize(
+        "seed, error, reason",
+        [
+            (7, None, "no feasible fleet within 6 replicas"),
+            (1, "over budget", "over budget"),
+            (1, None, "no replica count within 6 meets every tenant's SLO"),
+        ],
+    )
+    def test_reason(self, monkeypatch, seed, error, reason):
+        from repro.cluster.kubernetes import DeploymentError
+        from repro.tenancy import TenancyConfig
+        from repro.tenancy.placement import FleetPlanner
+
+        measured = []
+
+        def measure(self, tenancy, catalog_size, target_rps, instance, replicas):
+            measured.append(replicas)
+            if error is not None:
+                raise DeploymentError(error)
+            return replicas
+
+        monkeypatch.setattr(FleetPlanner, "_measure", measure)
+        monkeypatch.setattr(FleetPlanner, "_seed_replicas", lambda self, *a: seed)
+        monkeypatch.setattr(
+            FleetPlanner, "_meets_fleet_slo", lambda self, tenancy, result: False
+        )
+        plan = FleetPlanner(runner=ExperimentRunner(seed=11), max_replicas=6).plan(
+            TenancyConfig.parse("a=stamp:1;b=stamp:1"), 10_000, 100,
+            instances=[CPU_E2], standalone=False,
+        )
+        assert plan.options == []
+        assert plan.infeasible == {"CPU": reason}
+        assert measured == {7: [], 1: [1] if error else [1, 2, 3, 4, 5, 6]}[seed]
