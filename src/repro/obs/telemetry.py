@@ -10,12 +10,16 @@ for a single run:
 - ``sampler`` — the periodic gauge :class:`~repro.obs.sampler.Sampler`
   (created when the telemetry is bound to a simulator).
 
-Actors accept ``telemetry: Optional[Telemetry] = None`` and guard every
-instrumentation site with ``if self.telemetry is not None`` — when the
-handle is absent the serving hot paths execute exactly the code they did
-before instrumentation (zero overhead when off), and no extra random
-draws ever happen either way, so a traced run and an untraced run with
-the same seed produce identical latencies.
+Actors accept ``telemetry: Optional[Telemetry] = None``. With a handle,
+an actor registers its instruments once, at construction; its counters
+and most of its gauges are callbacks that read a tally or a state the
+actor keeps anyway, so counting an event is the one increment an
+untraced run makes too. What the request path does record for the
+handle (spans, the batch-size histogram) sits behind ``if
+self.telemetry is not None``: when the handle is absent the hot paths
+execute exactly the code they did before instrumentation, and no extra
+random draws ever happen either way, so a traced run and an untraced
+run with the same seed produce identical latencies.
 
 Lifecycle: construct the telemetry up front (e.g. in the CLI), hand it to
 :meth:`ExperimentRunner.run`, which calls :meth:`bind` once the run's

@@ -195,8 +195,8 @@ class EtudeInferenceServer:
         self._tenant_queued: Optional[Dict[str, int]] = None
         self._tenant_entitlement: Dict[str, float] = {}
         if tenants is not None:
-            self._tenant_queued = dict.fromkeys(tenants, 0)
-            self.shed_by_tenant = dict.fromkeys(tenants, 0)
+            self._tenant_queued = {name: 0 for name in tenants}
+            self.shed_by_tenant = {name: 0 for name in tenants}
             primary_weight = sum(
                 serving.config.weight
                 for serving in tenants.values()
